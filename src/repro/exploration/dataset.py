@@ -23,9 +23,14 @@ latency (Sec. 3's ~100 ms-per-gesture budget):
   token at construction (see :mod:`repro.exploration.engine`).  Masks and
   histograms are memoized per-dataset; because row content never mutates,
   no invalidation is ever needed — a new view is a new cache.
-* **Cached numeric edges** — per-column min/max and equal-width bin edges
-  are computed once per dataset and reused, keeping binned histograms of
-  filtered views comparable and cheap.
+* **Cached numeric edges and bin codes** — per-column min/max and
+  equal-width bin edges are computed once per dataset and reused, keeping
+  binned histograms of filtered views comparable.  For each
+  ``(column, edges)`` pair a numeric histogram asks for, the dataset
+  lazily builds one read-only array of per-row bin codes in the smallest
+  unsigned dtype (NaN and out-of-range rows get a sentinel bin), so a
+  numeric histogram is a ``compress`` plus an ``np.bincount``, exactly
+  like a categorical one, instead of a sort of the gathered values.
 """
 
 from __future__ import annotations
@@ -291,6 +296,8 @@ class Dataset:
         self._mask_cache = LRUCache(mask_cache_entries(n_rows))
         self._hist_cache = LRUCache(DEFAULT_HISTOGRAM_CACHE_SIZE)
         self._edges_cache: dict[tuple[str, int], np.ndarray] = {}
+        # Bin codes are n_rows bytes each, like masks: same byte budget.
+        self._bin_codes_cache = LRUCache(mask_cache_entries(n_rows))
         self._minmax_cache: dict[str, tuple[float, float]] = {}
 
     @classmethod
@@ -370,7 +377,7 @@ class Dataset:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self._n_rows,):
             raise InvalidParameterError("mask length must equal the row count")
-        return col.values[mask]
+        return col.values.compress(mask)
 
     def codes(self, name: str) -> np.ndarray:
         """Dictionary codes of a categorical column for this view."""
@@ -505,6 +512,40 @@ class Dataset:
         edges.setflags(write=False)
         self._edges_cache[key] = edges
         return edges
+
+    def bin_codes(self, name: str, edges: np.ndarray) -> np.ndarray:
+        """Per-row bin index of numeric column *name* under *edges* (cached).
+
+        Row values ``v`` with ``edges[k] <= v < edges[k + 1]`` get code
+        ``k``; ``v == edges[-1]`` lands in the last bin, which is closed.
+        NaN and out-of-range rows get the sentinel ``len(edges) - 1``.
+        That is ``np.histogram``'s binning, so ``np.bincount`` of any row
+        subset of the codes, minus its sentinel count, equals
+        ``np.histogram`` of the same rows.  Codes use the smallest unsigned
+        dtype holding the sentinel and are returned read-only.
+        """
+        edges = np.asarray(edges, dtype=float)
+        key = (name, edges.tobytes())
+        cached = self._bin_codes_cache.get(key)
+        if cached is not None:
+            return cached
+        col = self.column(name)
+        if col.ctype is not ColumnType.NUMERIC:
+            raise SchemaError(f"column {name!r} is categorical; no bin codes")
+        if np.any(edges[:-1] > edges[1:]):
+            raise InvalidParameterError("bin edges must increase monotonically")
+        values = col.values
+        n_bins = edges.size - 1
+        # searchsorted 'right' gives 1 + the bin index for in-range rows,
+        # 0 below the first edge, and n_bins + 1 at or above the last edge
+        # and for NaN (which sorts last).
+        pos = np.searchsorted(edges, values, side="right")
+        pos[values == edges[-1]] = n_bins
+        pos[pos == 0] = n_bins + 1
+        codes = (pos - 1).astype(np.min_scalar_type(n_bins))
+        codes.setflags(write=False)
+        self._bin_codes_cache.put(key, codes)
+        return codes
 
     def _minmax(self, name: str, col: Column) -> tuple[float, float]:
         cached = self._minmax_cache.get(name)

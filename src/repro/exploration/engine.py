@@ -8,7 +8,15 @@ unfiltered reference distributions.  All of those are pure functions of
 
 * every :class:`~repro.exploration.dataset.Dataset` carries a bounded LRU
   **mask cache** (predicate → boolean row mask) and **histogram cache**
-  (structural key → :class:`~repro.exploration.histogram.Histogram`);
+  (structural key → :class:`~repro.exploration.histogram.Histogram`).
+  Both are keyed by the *normalized* predicate
+  (:meth:`~repro.exploration.predicate.Predicate.cache_key`), so the
+  wire's operand order and the heuristics' canonical form of one filter
+  hit the same entries and a fresh filter is evaluated and binned once;
+* numeric histograms push down through a third LRU of per-row **bin
+  codes** per ``(column, bin edges)``, built lazily on first use, so
+  every histogram — categorical or numeric — is a ``compress`` gather
+  through the cached mask plus one ``np.bincount``;
 * cache entries never need invalidation: column codes are immutable and
   the caches live on the dataset object itself, so a new view or permuted
   copy starts with empty caches and a stale hit is impossible (the
@@ -152,13 +160,13 @@ class ThreadSafeLRUCache(LRUCache):
 
 
 def ensure_thread_safe_caches(dataset) -> None:
-    """Swap *dataset*'s mask/histogram caches for thread-safe equivalents.
+    """Swap *dataset*'s mask/histogram/bin-code caches for thread-safe ones.
 
     Existing entries and capacities are preserved, so warmed caches stay
     warm.  Idempotent; safe to call on datasets that never see a second
     thread (the lock adds ~100 ns per probe).
     """
-    for attr in ("_mask_cache", "_hist_cache"):
+    for attr in ("_mask_cache", "_hist_cache", "_bin_codes_cache"):
         cache = getattr(dataset, attr, None)
         if cache is None or isinstance(cache, ThreadSafeLRUCache):
             continue

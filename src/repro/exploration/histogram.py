@@ -8,16 +8,22 @@ properties matter for correctness of the derived hypothesis tests:
 * numeric attributes are binned with edges computed once on the *full*
   dataset, so a filter cannot shift the binning.
 
-Aggregation is pushed down onto the column store: categorical histograms
-are one ``np.bincount`` over the dictionary codes (optionally gathered
-through the predicate's memoized mask), and results are memoized on the
-dataset's histogram cache — a session re-showing a panel, or rule 2
-re-deriving the unfiltered reference distribution, pays nothing.
+Aggregation is pushed down onto the column store: every histogram is one
+``np.bincount`` over small integer codes — dictionary codes for
+categorical attributes, the dataset's cached per-row bin codes
+(:meth:`~repro.exploration.dataset.Dataset.bin_codes`) for numeric ones —
+gathered through the predicate's memoized mask with ``compress``.
+Results are memoized on the dataset's histogram cache under the
+predicate's normalized form, so a session re-showing a panel, rule 2
+re-deriving the unfiltered reference distribution, or the heuristics
+re-binning the normalized spelling of a panel just shown, pays nothing.
+A returned histogram's ``filter_description`` is always the caller's own
+``predicate.describe()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,6 +84,26 @@ class Histogram:
         return "\n".join(lines)
 
 
+def _counts_under(codes: np.ndarray, predicate: Predicate, dataset: Dataset,
+                  minlength: int) -> np.ndarray:
+    """``np.bincount`` of *codes* over the rows *predicate* selects."""
+    if not predicate.is_trivial():
+        codes = codes.compress(predicate.mask(dataset))
+    return np.bincount(codes, minlength=minlength)
+
+
+def _described_by(hist: Histogram, predicate: Predicate) -> Histogram:
+    """*hist* carrying *predicate*'s own description.
+
+    The cache key is the normalized predicate, so a cached histogram may
+    have been built for another spelling of the same filter.
+    """
+    description = predicate.describe()
+    if hist.filter_description == description:
+        return hist
+    return replace(hist, filter_description=description)
+
+
 def categorical_histogram(
     dataset: Dataset,
     attribute: str,
@@ -94,11 +120,10 @@ def categorical_histogram(
             f"{attribute!r} is numeric; use numeric_histogram with bin edges"
         )
 
+    key = predicate.cache_key()
+
     def build() -> Histogram:
-        codes = col.codes
-        if not predicate.is_trivial():
-            codes = codes[predicate.mask(dataset)]
-        counts = np.bincount(codes, minlength=len(col.categories))
+        counts = _counts_under(col.codes, key, dataset, len(col.categories))
         return Histogram(
             attribute=attribute,
             labels=tuple(col.categories),
@@ -106,7 +131,8 @@ def categorical_histogram(
             filter_description=predicate.describe(),
         )
 
-    return cached_histogram(dataset, ("cat", attribute, predicate), build)
+    hist = cached_histogram(dataset, ("cat", attribute, key), build)
+    return _described_by(hist, predicate)
 
 
 def numeric_histogram(
@@ -119,6 +145,9 @@ def numeric_histogram(
 
     Callers obtain edges from ``Dataset.numeric_bin_edges`` on the full
     dataset, then reuse them for every filtered view of the attribute.
+    Counts equal ``np.histogram(values, bins=bin_edges)`` on the selected
+    rows: bins are half-open, the last bin is closed, and values outside
+    the edges (or NaN) are dropped.
     """
     col = dataset.column(attribute)
     if col.ctype is not ColumnType.NUMERIC:
@@ -127,11 +156,12 @@ def numeric_histogram(
     if edges.ndim != 1 or edges.size < 3:
         raise InvalidParameterError("need at least 2 bins (3 edges)")
 
+    key = predicate.cache_key()
+
     def build() -> Histogram:
-        values = col.values
-        if not predicate.is_trivial():
-            values = values[predicate.mask(dataset)]
-        counts, _ = np.histogram(values, bins=edges)
+        codes = dataset.bin_codes(attribute, edges)
+        # The last code is the out-of-range sentinel: drop its count.
+        counts = _counts_under(codes, key, dataset, edges.size)[:-1]
         labels = tuple(
             f"[{edges[i]:g}, {edges[i + 1]:g})" for i in range(edges.size - 1)
         )
@@ -142,9 +172,10 @@ def numeric_histogram(
             filter_description=predicate.describe(),
         )
 
-    return cached_histogram(
-        dataset, ("num", attribute, predicate, edges.tobytes()), build
+    hist = cached_histogram(
+        dataset, ("num", attribute, key, edges.tobytes()), build
     )
+    return _described_by(hist, predicate)
 
 
 def histogram_for(

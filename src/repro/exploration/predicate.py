@@ -8,13 +8,15 @@ dashed-line "inverted selection" of Fig. 1 — with complement detection,
 which is what triggers the rule-3 default hypothesis.
 
 Evaluation is engine-backed: ``mask()`` consults the dataset's memoized
-mask cache (see :mod:`repro.exploration.engine`) and subclasses implement
-``_compute_mask`` for the miss path.  On dictionary-encoded categorical
-columns, ``Eq`` and ``In`` compare ``int32`` codes instead of label
-arrays, and ``And``/``Or`` combine their children's cached masks with a
-single reduction instead of per-operand reallocation.  Because predicates
-and normalization results are immutable, ``normalize()`` and the
-structural complement are memoized per instance.
+mask cache (see :mod:`repro.exploration.engine`) under the predicate's
+:meth:`~Predicate.cache_key` — its normalized form, so ``And((a, b))`` and
+``And((b, a))`` share one entry and one evaluation — and subclasses
+implement ``_compute_mask`` for the miss path.  On dictionary-encoded
+categorical columns, ``Eq`` and ``In`` compare ``int32`` codes instead of
+label arrays, and ``And``/``Or`` fold their children's cached masks
+pairwise into one fresh buffer.  Because predicates and normalization
+results are immutable, ``normalize()`` and the structural complement are
+memoized per instance.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ class Predicate(abc.ABC):
     def mask(self, dataset: Dataset) -> np.ndarray:
         """Boolean row mask of the rows satisfying this predicate.
 
-        Results are memoized per dataset; cached masks are read-only, so
-        copy before mutating in place.
+        Results are memoized per dataset under :meth:`cache_key`; cached
+        masks are read-only, so copy before mutating in place.
         """
-        return cached_mask(dataset, self)
+        return cached_mask(dataset, self.cache_key())
 
     @abc.abstractmethod
     def _compute_mask(self, dataset: Dataset) -> np.ndarray:
@@ -62,6 +64,19 @@ class Predicate(abc.ABC):
     def is_trivial(self) -> bool:
         """True only for the match-everything predicate."""
         return False
+
+    def cache_key(self) -> "Predicate":
+        """The engine's mask and histogram cache key: ``normalize()``.
+
+        Differently spelled filters over the same rows (operand order,
+        double negation, nesting) share one cache entry.  A payload that
+        cannot be hashed makes normalization raise ``TypeError``; such a
+        predicate is its own key, which the caches then bypass.
+        """
+        try:
+            return self.normalize()
+        except TypeError:
+            return self
 
     def complement(self) -> "Predicate":
         """Normalized structural negation of this predicate (memoized)."""
@@ -246,6 +261,21 @@ class Not(Predicate):
         return Not(inner)
 
 
+def _fold_masks(ufunc: np.ufunc, operands: tuple, dataset: Dataset) -> np.ndarray:
+    """Combine the operands' masks pairwise into one fresh buffer.
+
+    ``ufunc.reduce`` over a list first stacks the masks into a 2-D copy;
+    folding with ``out=`` reads each mask once and allocates one array.
+    """
+    masks = [op.mask(dataset) for op in operands]
+    if len(masks) == 1:
+        return masks[0].copy()
+    out = ufunc(masks[0], masks[1])
+    for mask in masks[2:]:
+        ufunc(out, mask, out=out)
+    return out
+
+
 def _flatten(cls, operands) -> tuple:
     flat: list[Predicate] = []
     for op in operands:
@@ -270,10 +300,7 @@ class And(Predicate):
     def _compute_mask(self, dataset: Dataset) -> np.ndarray:
         if not self.operands:
             return np.ones(dataset.n_rows, dtype=bool)
-        masks = [op.mask(dataset) for op in self.operands]
-        if len(masks) == 1:
-            return masks[0].copy()
-        return np.logical_and.reduce(masks)
+        return _fold_masks(np.logical_and, self.operands, dataset)
 
     def describe(self) -> str:
         if not self.operands:
@@ -307,10 +334,7 @@ class Or(Predicate):
     def _compute_mask(self, dataset: Dataset) -> np.ndarray:
         if not self.operands:
             return np.zeros(dataset.n_rows, dtype=bool)
-        masks = [op.mask(dataset) for op in self.operands]
-        if len(masks) == 1:
-            return masks[0].copy()
-        return np.logical_or.reduce(masks)
+        return _fold_masks(np.logical_or, self.operands, dataset)
 
     def describe(self) -> str:
         if not self.operands:

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+import repro.exploration.histogram as histogram_module
 from repro.api.protocol import PROTOCOL_VERSION, CreateSession, Show
 from repro.api.service import ExplorationService
 from repro.errors import InvalidParameterError
 from repro.exploration.export import session_to_dict
-from repro.exploration.predicate import Eq, Not
+from repro.exploration.predicate import TRUE, And, Eq, Not
 from repro.service import SessionManager
+from repro.workloads.census import make_census
 
 
 @pytest.fixture()
@@ -268,3 +270,49 @@ class TestDecisionLogParity:
         for attribute, where in panels:
             manager.show(direct, attribute, where=where)
         assert via_service == manager.decision_log_bytes(direct)
+
+
+class TestFreshFilterEvaluatedOnce:
+    """A fresh filter is masked and binned once per show, whatever the
+    operand order the wire spelled it in."""
+
+    @pytest.mark.parametrize("attribute", ["salary_over_50k", "hours_per_week"])
+    def test_fresh_and_show_masks_and_bins_once(self, attribute, monkeypatch):
+        service = ExplorationService()
+        service.register_dataset(make_census(4_000, seed=2), name="census")
+        sid = service.handle_dict(
+            {"v": 1, "cmd": "create_session", "dataset": "census"}
+        )["result"]["session_id"]
+
+        and_masks = []
+        compute = And._compute_mask
+
+        def counting_compute(self, dataset):
+            and_masks.append(self)
+            return compute(self, dataset)
+
+        filtered_builds = []
+        cached = histogram_module.cached_histogram
+
+        def counting_cached(dataset, key, build):
+            def counted_build():
+                if key[2] is not TRUE:
+                    filtered_builds.append(key)
+                return build()
+            return cached(dataset, key, counted_build)
+
+        monkeypatch.setattr(And, "_compute_mask", counting_compute)
+        monkeypatch.setattr(histogram_module, "cached_histogram", counting_cached)
+        where = {"op": "and", "operands": [
+            {"op": "eq", "column": "education", "value": "Bachelor"},
+            {"op": "range", "column": "age", "lo": 25.0, "hi": 45.0},
+        ]}
+        env = service.handle_dict({"v": 1, "cmd": "show", "session_id": sid,
+                                   "attribute": attribute, "where": where})
+        assert env["ok"], env
+        assert len(and_masks) == 1
+        assert len(filtered_builds) == 1
+        # The response keeps the request's operand order, not the canonical one.
+        assert env["result"]["histogram"]["filter"] == (
+            "(education = Bachelor) and (25 <= age < 45)"
+        )

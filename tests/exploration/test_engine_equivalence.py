@@ -6,7 +6,8 @@ histograms and chi-square p-values whether evaluated through the columnar
 engine (codes, memoized masks, bincount) or through a pure-Python row-by-row
 reference that never touches codes or caches.  Plus: cache-invalidation
 semantics — views, views of views, and permuted datasets each carry a fresh
-generation token and their own caches.
+generation token and their own caches — and one cache entry per filter,
+whatever the operand order it was spelled in.
 """
 
 import numpy as np
@@ -14,11 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InsufficientDataError
+from repro.errors import InsufficientDataError, InvalidParameterError
 from repro.exploration.dataset import Dataset
-from repro.exploration.histogram import categorical_histogram, numeric_histogram
+from repro.exploration.histogram import (
+    categorical_histogram,
+    histogram_for,
+    numeric_histogram,
+)
 from repro.exploration.predicate import TRUE, And, Eq, In, Not, Or, Range
 from repro.stats.tests import chi_square_gof
+from repro.workloads.census import make_census
 
 COLORS = ("red", "blue", "green", "yellow")
 
@@ -178,6 +184,119 @@ class TestHistogramEquivalence:
         result = chi_square_gof(filtered.counts, overall.proportions())
         assert result.p_value == expected.p_value
         assert result.statistic == expected.statistic
+
+
+@st.composite
+def binned_columns(draw):
+    """Non-decreasing edges plus values that hit every edge-case of binning:
+    interior and last edges exactly, values outside the edges, NaN rows."""
+    edges = sorted(
+        draw(
+            st.lists(
+                st.floats(min_value=-20, max_value=20, allow_nan=False),
+                min_size=3,
+                max_size=8,
+            )
+        )
+    )
+    specials = edges + [edges[0] - 1.0, edges[-1] + 1.0, float("nan")]
+    n = draw(st.integers(min_value=1, max_value=60))
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(specials),
+                st.floats(min_value=-25, max_value=25, allow_nan=False),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return np.asarray(edges), values
+
+
+def binned_dataset(values):
+    return Dataset(
+        {"value": values, "color": [COLORS[i % 4] for i in range(len(values))]},
+        categorical=["color"],
+        category_universe={"color": COLORS},
+    )
+
+
+def assert_counts_match_np_histogram(ds, edges):
+    hist = numeric_histogram(ds, "value", edges)
+    expected, _ = np.histogram(ds.values("value"), bins=edges)
+    assert hist.counts == tuple(int(c) for c in expected)
+    red = Eq("color", "red")
+    filtered = numeric_histogram(ds, "value", edges, red)
+    expected, _ = np.histogram(ds.values("value", red.mask(ds)), bins=edges)
+    assert filtered.counts == tuple(int(c) for c in expected)
+
+
+class TestBinCodeHistograms:
+    @given(column=binned_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_bin_codes_equal_np_histogram(self, column):
+        edges, values = column
+        ds = binned_dataset(values)
+        assert_counts_match_np_histogram(ds, edges)
+        codes = ds.bin_codes("value", edges)
+        assert not codes.flags.writeable
+        assert codes.dtype == np.uint8
+        assert int(codes.max()) <= edges.size - 1  # sentinel is the top code
+
+    @given(column=binned_columns(), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_views_bin_their_own_rows(self, column, seed):
+        edges, values = column
+        ds = binned_dataset(values)
+        parent_codes = ds.bin_codes("value", edges)
+        keep = np.random.default_rng(seed).random(ds.n_rows) < 0.5
+        for view in (ds.select(keep), ds.sample_fraction(0.5, seed=seed)):
+            assert_counts_match_np_histogram(view, edges)
+            assert view._bin_codes_cache is not ds._bin_codes_cache
+            assert view.bin_codes("value", edges) is not parent_codes
+
+    def test_codes_are_cached_per_edges(self, tiny_dataset):
+        edges = tiny_dataset.numeric_bin_edges("size", bins=4)
+        codes = tiny_dataset.bin_codes("size", edges)
+        assert tiny_dataset.bin_codes("size", edges.copy()) is codes
+        other = tiny_dataset.bin_codes("size", np.linspace(0.0, 13.0, 5))
+        assert other is not codes
+
+    def test_decreasing_edges_fail_loudly(self, tiny_dataset):
+        with pytest.raises(InvalidParameterError, match="monotonically"):
+            numeric_histogram(tiny_dataset, "size", np.array([0.0, 6.0, 3.0, 12.0]))
+
+    def test_categorical_column_has_no_bin_codes(self, tiny_dataset):
+        with pytest.raises(ValueError):
+            tiny_dataset.bin_codes("color", np.array([0.0, 1.0, 2.0]))
+
+
+class TestNormalizedCacheKeys:
+    def test_operand_order_shares_one_mask(self, census):
+        eq, rng = Eq("education", "PhD"), Range("age", 30.0, 50.0)
+        first = And((eq, rng)).mask(census)
+        assert And((rng, eq)).mask(census) is first
+        assert And((eq, rng)).normalize().mask(census) is first
+
+    @pytest.mark.parametrize("attribute", ["sex", "hours_per_week"])
+    def test_histograms_share_counts_but_keep_their_description(self, attribute):
+        census = make_census(2_000, seed=1)  # fresh caches: misses are exact
+        eq, rng = Eq("education", "PhD"), Range("age", 30.0, 50.0)
+        edges = (
+            None if census.is_categorical(attribute)
+            else census.numeric_bin_edges(attribute)
+        )
+        spellings = [And((eq, rng)), And((rng, eq)), Not(Not(And((eq, rng))))]
+        misses = census._hist_cache.misses
+        hists = [
+            histogram_for(census, attribute, p, bin_edges=edges) for p in spellings
+        ]
+        assert census._hist_cache.misses == misses + 1  # built once
+        for pred, hist in zip(spellings, hists):
+            assert hist.filter_description == pred.describe()
+            assert hist.counts == hists[0].counts
+        assert len({h.filter_description for h in hists}) == 3
 
 
 class TestViewSemantics:

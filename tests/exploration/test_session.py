@@ -9,6 +9,7 @@ from repro.exploration.hypotheses import HypothesisStatus
 from repro.exploration.predicate import Eq, Not
 from repro.exploration.session import ExplorationSession
 from repro.exploration.visualization import Visualization, chain
+from repro.stats.tests import t_test_two_sample
 
 
 @pytest.fixture()
@@ -227,6 +228,21 @@ class TestExplicitTests:
         b = Visualization("age", Not(Eq("salary_over_50k", "True")))
         hyp = session.compare(a, b, use_means=True)
         assert hyp.result.name == "welch-t-test"
+
+    def test_mean_tests_match_boolean_indexing_reference(self, census):
+        """compare(use_means) and override_with_means gather with compress;
+        the Welch results equal a t-test on boolean-indexed values."""
+        session = ExplorationSession(census, procedure="beta-farsighted")
+        where = Eq("salary_over_50k", "True")
+        mask = where.mask(census)
+        ages = census.values("age")
+        expected = t_test_two_sample(ages[mask], ages[~mask])
+        a = Visualization("age", where)
+        b = Visualization("age", Not(where))
+        assert session.compare(a, b, use_means=True).result == expected
+        two_panel = session.compare(a, b)
+        session.override_with_means(two_panel.hypothesis_id)
+        assert session.hypothesis(two_panel.hypothesis_id).result == expected
 
     def test_promote_unfiltered_panel(self, session):
         hyp = session.promote(
