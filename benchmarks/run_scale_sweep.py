@@ -59,13 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workloads to replay per grid point")
     parser.add_argument("--transport", nargs="+", choices=TRANSPORTS,
                         default=list(DEFAULT_TRANSPORTS), dest="transports",
-                        help="transports to drive per grid point: direct "
-                             "manager dispatch, per-command service calls, "
-                             "batched v2 pipeline envelopes, and/or pipeline "
-                             "envelopes through a sharded multi-process "
-                             "router (default: the three in-process ones, "
-                             "so pipeline cells record their speedup over "
-                             "the service cells)")
+                        help="transports to drive per grid point: "
+                             "per-command service calls, batched v2 "
+                             "pipeline envelopes, and/or pipeline envelopes "
+                             "through a sharded multi-process router "
+                             "(default: the two in-process ones, so "
+                             "pipeline cells record their speedup over the "
+                             "service cells; the per-layer split is "
+                             "benchmarks/e2e/run.py --trace 1)")
     parser.add_argument("--workers", type=int, nargs="+", default=None,
                         help="worker-process counts for router cells; "
                              "implies the router transport (each count "

@@ -75,14 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0,
                        help="census + workload seed (default 0)")
     sweep.add_argument("--transport", nargs="+", dest="transports",
-                       choices=["manager", "service", "pipeline", "router"],
-                       default=["manager", "service", "pipeline"],
+                       choices=["service", "pipeline", "router"],
+                       default=["service", "pipeline"],
                        help="transports to drive gesture traffic through: "
-                            "direct manager dispatch, per-command service "
-                            "calls, batched v2 pipeline envelopes, or "
-                            "pipeline envelopes through a sharded "
-                            "multi-process router (default: the three "
-                            "in-process ones)")
+                            "per-command service calls, batched v2 "
+                            "pipeline envelopes, or pipeline envelopes "
+                            "through a sharded multi-process router "
+                            "(default: the two in-process ones)")
     sweep.add_argument("--workers", type=int, nargs="+", default=None,
                        help="worker-process counts for router cells; "
                             "implies the router transport")

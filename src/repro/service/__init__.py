@@ -11,13 +11,9 @@ from repro.service.events import EventBroker, Subscription
 from repro.service.manager import (
     DEFAULT_TOMBSTONE_LIMIT,
     DecisionRecord,
-    GestureStep,
-    GestureStepResult,
     ServiceStats,
     SessionManager,
     SessionStats,
-    ShowRequest,
-    ShowResponse,
 )
 from repro.service.sweep import TRANSPORTS, ScaleSweep, SweepCell, append_record
 
@@ -25,13 +21,9 @@ __all__ = [
     "DEFAULT_TOMBSTONE_LIMIT",
     "DecisionRecord",
     "EventBroker",
-    "GestureStep",
-    "GestureStepResult",
     "ServiceStats",
     "SessionManager",
     "SessionStats",
-    "ShowRequest",
-    "ShowResponse",
     "Subscription",
     "TRANSPORTS",
     "ScaleSweep",

@@ -4,8 +4,10 @@ The reproduction so far drives one :class:`ExplorationSession` at a time.
 This module is the first service-shaped layer on top of the columnar
 engine: a :class:`SessionManager` owns a registry of concurrent sessions
 over shared, immutable :class:`~repro.exploration.dataset.Dataset`
-objects and dispatches batched ``show()`` traffic across them, serially
-or on a thread pool.
+objects and runs each verb under its session's lock, on whichever thread
+calls it.  Batching is the wire protocol's job: a v2 pipeline envelope
+addressed to one session holds that session's lock across the whole
+batch of verbs (:meth:`repro.api.service.ExplorationService.handle`).
 
 Sharing/isolation contract
 --------------------------
@@ -31,13 +33,13 @@ another session):
 * the session lock: requests for one session always execute in
   submission order, one at a time, so the paper's never-overturn
   contract (decisions only change on that session's *own* explicit
-  revisions) holds under thread-pool dispatch exactly as it does
+  revisions) holds under concurrent callers exactly as it does
   serially.  The decision-log equivalence property test
   (``tests/property/test_property_service.py``) pins this: N threads
   driving N sessions produce byte-identical logs to a serial run.
 
 Because sessions only share immutable data and thread-safe caches,
-parallel dispatch changes *latency*, never *decisions*.
+concurrency changes *latency*, never *decisions*.
 
 Lifecycle / QoS contract (PR 4)
 -------------------------------
@@ -73,7 +75,6 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -101,22 +102,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see repro.store)
 
 __all__ = [
     "DecisionRecord",
-    "ShowRequest",
-    "ShowResponse",
-    "GestureStep",
-    "GestureStepResult",
     "SessionStats",
     "ServiceStats",
     "SessionManager",
     "DEFAULT_TOMBSTONE_LIMIT",
     "DEFAULT_SNAPSHOT_EVERY",
-    "PREV_HYPOTHESIS",
 ]
-
-#: In-process twin of the wire protocol's ``"$prev"`` token: a gesture
-#: step whose ``hypothesis_id`` is this string resolves to the hypothesis
-#: produced by the nearest earlier successful step of the same gesture.
-PREV_HYPOTHESIS = "$prev"
 
 #: Default bound on retained eviction tombstones (oldest dropped first).
 DEFAULT_TOMBSTONE_LIMIT = 64
@@ -162,68 +153,6 @@ class DecisionRecord:
             "wealth_after": repr(self.wealth_after),
             "event": self.event,
         }
-
-
-@dataclass(frozen=True)
-class ShowRequest:
-    """One batched ``show()`` call addressed to a session."""
-
-    session_id: str
-    attribute: str
-    where: Predicate | None = None
-    bins: int | None = None
-    descriptive: bool = False
-
-
-@dataclass(frozen=True)
-class ShowResponse:
-    """Outcome of one dispatched request, in the batch's original order."""
-
-    request: ShowRequest
-    index: int
-    result: ViewResult | None
-    error: str | None
-    latency_s: float
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-@dataclass(frozen=True)
-class GestureStep:
-    """One verb of a multi-command analyst *gesture* (show/star/unstar).
-
-    A gesture is the burst of commands one UI interaction emits — the
-    show→star→show shape of the API benchmarks.  ``hypothesis_id`` may be
-    a concrete id or :data:`PREV_HYPOTHESIS` (``"$prev"``), which
-    :meth:`SessionManager.execute_gesture` resolves exactly like the v2
-    pipeline envelope does: to the nearest earlier successful step that
-    produced a hypothesis, never across gesture boundaries.
-    """
-
-    verb: str
-    attribute: str | None = None
-    where: Predicate | None = None
-    bins: int | None = None
-    descriptive: bool = False
-    hypothesis_id: int | str | None = None
-
-
-@dataclass(frozen=True)
-class GestureStepResult:
-    """Outcome slot of one gesture step, in gesture order.
-
-    ``executed`` is ``False`` for steps skipped after an earlier failure
-    (the in-process twin of the pipeline's ``NOT_EXECUTED`` slots).
-    """
-
-    step: GestureStep
-    ok: bool
-    error: str | None
-    executed: bool
-    hypothesis_id: int | None
-    latency_s: float
 
 
 @dataclass(frozen=True)
@@ -285,8 +214,8 @@ class _ManagedSession:
         self.session_id = session_id
         self.dataset_name = dataset_name
         self.session = session
-        # RLock: a caller holding the session via dispatch may re-enter
-        # through the public show() path.
+        # RLock: a pipeline envelope holding the session lock re-enters
+        # it through the public show()/star() verbs.
         self.lock = make_rlock("manager.session")
         self.log: list[DecisionRecord] = []
         self.shows = 0
@@ -312,14 +241,10 @@ class _RegisteredDataset:
 
 
 class SessionManager:
-    """Registry + dispatcher for concurrent exploration sessions.
+    """Registry and lock-mediated verbs for concurrent exploration sessions.
 
     Parameters
     ----------
-    max_workers:
-        Thread-pool width for parallel dispatch.  ``None`` lets
-        :class:`~concurrent.futures.ThreadPoolExecutor` pick; ``0`` or
-        ``1`` forces serial dispatch even when ``parallel=True``.
     idle_timeout:
         Seconds of inactivity after which a session is evicted to a
         tombstone (``None`` disables idle eviction).  Checked lazily on
@@ -342,7 +267,6 @@ class SessionManager:
 
     def __init__(
         self,
-        max_workers: int | None = None,
         idle_timeout: float | None = None,
         tombstone_limit: int = DEFAULT_TOMBSTONE_LIMIT,
         clock: Callable[[], float] = time.monotonic,  # reprolint: allow(determinism) — monotonic seam: feeds last_active / idle_s / evicted_at_monotonic; tests pin it
@@ -350,15 +274,12 @@ class SessionManager:
         store: "SessionStore | None" = None,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     ) -> None:
-        if max_workers is not None and max_workers < 0:
-            raise InvalidParameterError("max_workers must be >= 0 or None")
         if idle_timeout is not None and idle_timeout <= 0:
             raise InvalidParameterError("idle_timeout must be > 0 or None")
         if tombstone_limit < 0:
             raise InvalidParameterError("tombstone_limit must be >= 0")
         if snapshot_every < 0:
             raise InvalidParameterError("snapshot_every must be >= 0")
-        self._max_workers = max_workers
         self._idle_timeout = idle_timeout
         self._tombstone_limit = tombstone_limit
         self._clock = clock
@@ -853,164 +774,6 @@ class SessionManager:
             self._append_event(
                 managed, "replay", managed.session.hypothesis(hyp_id)
             )
-
-    def dispatch(
-        self,
-        requests: Sequence[ShowRequest],
-        parallel: bool = True,
-    ) -> list[ShowResponse]:
-        """Execute a batch of requests, returning responses in batch order.
-
-        Requests addressed to the *same* session always execute in their
-        batch order (they are grouped and run sequentially under that
-        session's lock); requests for different sessions run concurrently
-        when *parallel* is true.  A failed request yields an error
-        response; it never aborts the rest of the batch.
-        """
-        groups: dict[str, list[tuple[int, ShowRequest]]] = {}
-        for i, req in enumerate(requests):
-            groups.setdefault(req.session_id, []).append((i, req))
-        responses: list[ShowResponse | None] = [None] * len(requests)
-
-        def run_group(items: list[tuple[int, ShowRequest]]) -> None:
-            for i, req in items:
-                responses[i] = self._execute(i, req)
-
-        worker_cap = self._max_workers
-        use_pool = (
-            parallel
-            and len(groups) > 1
-            and (worker_cap is None or worker_cap > 1)
-        )
-        if use_pool:
-            with ThreadPoolExecutor(max_workers=worker_cap) as pool:
-                futures = [pool.submit(run_group, g) for g in groups.values()]
-                for fut in futures:
-                    fut.result()
-        else:
-            for group in groups.values():
-                run_group(group)
-        return [r for r in responses if r is not None]
-
-    def _execute(self, index: int, req: ShowRequest) -> ShowResponse:
-        start = time.perf_counter()
-        try:
-            managed = self._managed(req.session_id)
-            with managed.lock:
-                result = self._show_locked(
-                    managed, req.attribute, req.where, req.bins, req.descriptive
-                )
-            return ShowResponse(req, index, result, None, time.perf_counter() - start)
-        except Exception as exc:  # noqa: BLE001 - reprolint: allow(boundary) — batch-slot boundary: one bad request must not abort the batch
-            return ShowResponse(
-                req, index, None, f"{type(exc).__name__}: {exc}",
-                time.perf_counter() - start,
-            )
-
-    # -- gesture batches ------------------------------------------------------
-
-    def execute_gesture(
-        self,
-        session_id: str,
-        steps: Sequence[GestureStep],
-        reject_exhausted: bool = True,
-    ) -> list[GestureStepResult]:
-        """Run a multi-verb gesture as **one** critical section.
-
-        This is the in-process twin of the v2 pipeline envelope, and it
-        deliberately *reuses* the envelope's session-lock semantics
-        instead of re-implementing them: the session's re-entrant lock is
-        held across the whole gesture (exactly what the wire dispatcher
-        does for a single-session pipeline), and each step goes through
-        the ordinary lock-mediated verbs — ``show``/``star``/``unstar`` —
-        so locking, decision logging and event publication are the same
-        code paths a wire client exercises.  Guarantees, matching the
-        envelope:
-
-        * steps execute strictly in order; no other client's verb can
-          interleave mid-gesture;
-        * a ``hypothesis_id`` of ``"$prev"`` resolves to the nearest
-          earlier successful step's hypothesis, never across gestures;
-        * the first failed step aborts the remainder (later slots report
-          ``executed=False``), mirroring ``abort_on_error``;
-        * ``reject_exhausted`` defaults to True so a wealth-exhausted
-          session answers exactly like the wire boundary would — the
-          three sweep transports must agree on this or their decision
-          logs diverge.
-
-        Raises for an unknown/evicted session (the whole gesture is
-        unaddressable); per-step problems never raise, they fill slots.
-        """
-        results: list[GestureStepResult] = []
-        prev_hypothesis: int | None = None
-        failed = False
-        with self.session_lock(session_id):
-            for step in steps:
-                if failed:
-                    results.append(GestureStepResult(
-                        step, ok=False, error="NOT_EXECUTED: earlier gesture "
-                        "step failed", executed=False, hypothesis_id=None,
-                        latency_s=0.0,
-                    ))
-                    continue
-                start = time.perf_counter()
-                try:
-                    hyp_id = self._execute_gesture_step(
-                        session_id, step, prev_hypothesis, reject_exhausted
-                    )
-                except Exception as exc:  # noqa: BLE001 - reprolint: allow(boundary) — gesture-slot boundary: a failed step is a result, not a crash
-                    results.append(GestureStepResult(
-                        step, ok=False, error=f"{type(exc).__name__}: {exc}",
-                        executed=True, hypothesis_id=None,
-                        latency_s=time.perf_counter() - start,
-                    ))
-                    failed = True
-                    continue
-                if hyp_id is not None:
-                    prev_hypothesis = hyp_id
-                results.append(GestureStepResult(
-                    step, ok=True, error=None, executed=True,
-                    hypothesis_id=hyp_id,
-                    latency_s=time.perf_counter() - start,
-                ))
-        return results
-
-    def _execute_gesture_step(
-        self,
-        session_id: str,
-        step: GestureStep,
-        prev_hypothesis: int | None,
-        reject_exhausted: bool,
-    ) -> int | None:
-        """One gesture verb (lock already held); returns its hypothesis id."""
-        if step.verb == "show":
-            result = self.show(
-                session_id, step.attribute, where=step.where, bins=step.bins,
-                descriptive=step.descriptive, reject_exhausted=reject_exhausted,
-            )
-            hyp = result.hypothesis
-            return None if hyp is None else hyp.hypothesis_id
-        if step.verb not in ("star", "unstar"):
-            raise InvalidParameterError(
-                f"unknown gesture verb {step.verb!r}; known: show/star/unstar"
-            )
-        hyp_id = step.hypothesis_id
-        if hyp_id is None:
-            # The wire protocol rejects a null hypothesis_id; diverging
-            # here would break the cross-transport log equivalence.
-            raise InvalidParameterError(
-                f"{step.verb} needs a hypothesis_id "
-                f"(an int or {PREV_HYPOTHESIS!r})"
-            )
-        if hyp_id == PREV_HYPOTHESIS:
-            if prev_hypothesis is None:
-                raise InvalidParameterError(
-                    f"{PREV_HYPOTHESIS!r} used before any gesture step "
-                    "produced a hypothesis"
-                )
-            hyp_id = prev_hypothesis
-        verb = self.star if step.verb == "star" else self.unstar
-        return verb(session_id, int(hyp_id)).hypothesis_id
 
     @locked_helper
     def _show_locked(

@@ -19,12 +19,9 @@ time:
   user-study panels (attribute + accumulated filter chain);
 * both workloads are **compiled into multi-command gestures** (the
   show→star($prev)→show…​ burst one UI interaction emits, starring the
-  gesture's opening hypothesis when the analyst revisits it) and driven
-  through one of three transports:
+  gesture's opening hypothesis when the analyst revisits it) — tuples of
+  wire command dicts — and driven through one of three transports:
 
-  - ``manager`` — direct dispatch through
-    :meth:`~repro.service.manager.SessionManager.execute_gesture`, no
-    protocol layer (the in-process baseline);
   - ``service`` — each command crosses the wire-protocol boundary as its
     own :meth:`~repro.api.service.ExplorationService.handle` call, with
     ``"$prev"`` resolved client-side from the previous response (the v1
@@ -39,6 +36,15 @@ time:
     scale past the GIL.  Router cells carry a ``workers`` count and are
     gated under ``scale_*_router_w{workers}`` names, so the scaling
     curve (w1 vs w4 throughput) is a CI-checkable artifact.
+
+  Every transport is one object answering ``handle_dict`` (an in-process
+  :class:`~repro.api.service.ExplorationService`, or a started cluster's
+  router), so one measurement loop drives them all: sessions open through
+  the wire ``create_session`` verb and the cell's cache hit rate and
+  discoveries come back through ``stats`` and ``export``.  The
+  per-layer split below the protocol boundary (codec, protocol, service,
+  manager) is the traced end-to-end benchmark's job:
+  ``python benchmarks/e2e/run.py --trace 1``.
 
   All three transports reject wealth-spending shows on an exhausted
   session (the wire boundary's admission rule) and abort a gesture at
@@ -70,23 +76,19 @@ import dataclasses
 import gc
 import json
 import time
-from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.api.protocol import MAX_PIPELINE_COMMANDS, PREV, predicate_to_dict
 from repro.errors import InvalidParameterError
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Predicate
 from repro.ledger import append_ledger_record, run_metadata
-from repro.service.manager import (
-    PREV_HYPOTHESIS,
-    GestureStep,
-    ServiceStats,
-    SessionManager,
-)
 from repro.workloads.census import make_census
 from repro.workloads.user_study import make_user_study_workflow
 
@@ -98,7 +100,6 @@ __all__ = [
     "DEFAULT_TRANSPORTS",
     "GestureMeasurement",
     "compile_gestures",
-    "run_gestures_manager",
     "run_gestures_service",
     "run_gestures_pipeline",
     "append_record",
@@ -112,12 +113,12 @@ __all__ = [
 WORKLOADS: tuple[str, ...] = ("synthetic", "user-study")
 
 #: Transport axis: how gesture traffic reaches the engine.
-TRANSPORTS: tuple[str, ...] = ("manager", "service", "pipeline", "router")
+TRANSPORTS: tuple[str, ...] = ("service", "pipeline", "router")
 
-#: Default transports: the in-process three.  ``router`` boots real OS
+#: Default transports: the in-process two.  ``router`` boots real OS
 #: processes per cell, so it is opt-in (pass it explicitly, or use the
 #: CLI's ``--workers``).
-DEFAULT_TRANSPORTS: tuple[str, ...] = ("manager", "service", "pipeline")
+DEFAULT_TRANSPORTS: tuple[str, ...] = ("service", "pipeline")
 
 #: Size of the shared (attribute, filter) pool for the synthetic workload.
 _SYNTHETIC_POOL_SIZE = 64
@@ -126,11 +127,9 @@ _SYNTHETIC_POOL_SIZE = 64
 #: hypothesis, so a full gesture is ``1 + _GESTURE_SHOWS`` commands).
 _GESTURE_SHOWS = 3
 
-#: Commands per pipeline envelope.  Mirrors
-#: ``repro.api.protocol.MAX_PIPELINE_COMMANDS`` (pinned by a test);
-#: duplicated here so the module does not import the API layer at import
-#: time (``repro.service`` loads before ``repro.api`` can finish).
-_PIPELINE_MAX_COMMANDS = 64
+#: One compiled gesture: wire command dicts without a ``session_id``
+#: (the transport runner addresses them to its session).
+Gesture = tuple[dict, ...]
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ class SweepCell:
 
 
 def cell_bench_name(
-    rows: int, sessions: int, workload: str, transport: str = "manager",
+    rows: int, sessions: int, workload: str, transport: str,
     workers: int | None = None,
 ) -> str:
     """The stable benchmark name a sweep cell is gated under.
@@ -266,29 +265,32 @@ def _user_study_streams(
 def compile_gestures(
     panels: Sequence[tuple[str, Predicate]],
     shows_per_gesture: int = _GESTURE_SHOWS,
-) -> list[tuple[GestureStep, ...]]:
+) -> list[Gesture]:
     """Compile a flat panel stream into multi-command gestures.
 
     Consecutive panels group into gestures of up to *shows_per_gesture*
     shows; each gesture stars its opening hypothesis via ``"$prev"``
     right after the first show (the analyst bookmarking the panel they
     came back to) — the show→star→show shape of the API gesture
-    benchmarks.  Every show step keeps its position in the stream, so
-    the decision sequence is independent of the gesture grouping.
+    benchmarks.  A gesture is a tuple of wire command dicts without a
+    ``session_id``; the transport runner addresses each one.  Every show
+    keeps its position in the stream, so the decision sequence is
+    independent of the gesture grouping.
     """
     if shows_per_gesture < 1:
         raise InvalidParameterError("shows_per_gesture must be >= 1")
-    gestures: list[tuple[GestureStep, ...]] = []
+    gestures: list[Gesture] = []
     for start in range(0, len(panels), shows_per_gesture):
         group = panels[start:start + shows_per_gesture]
-        steps: list[GestureStep] = []
+        commands: list[dict] = []
         for index, (attribute, where) in enumerate(group):
-            steps.append(GestureStep("show", attribute=attribute, where=where))
+            show: dict = {"cmd": "show", "attribute": attribute}
+            if where is not None:
+                show["where"] = predicate_to_dict(where)
+            commands.append(show)
             if index == 0:
-                steps.append(
-                    GestureStep("star", hypothesis_id=PREV_HYPOTHESIS)
-                )
-        gestures.append(tuple(steps))
+                commands.append({"cmd": "star", "hypothesis_id": PREV})
+        gestures.append(tuple(commands))
     return gestures
 
 
@@ -316,50 +318,6 @@ class GestureMeasurement:
     show_latencies: tuple[float, ...]
 
 
-def run_gestures_manager(
-    manager: SessionManager,
-    session_id: str,
-    gestures: Sequence[Sequence[GestureStep]],
-) -> list[GestureMeasurement]:
-    """``manager`` transport: direct ``execute_gesture`` dispatch."""
-    out: list[GestureMeasurement] = []
-    for gesture in gestures:
-        start = time.perf_counter()
-        results = manager.execute_gesture(session_id, gesture)
-        wall = time.perf_counter() - start
-        shows = [r for r in results if r.step.verb == "show"]
-        ok_shows = [r for r in shows if r.ok]
-        out.append(GestureMeasurement(
-            latency_s=wall,
-            commands=len(results),
-            shows=len(shows),
-            ok_shows=len(ok_shows),
-            errors=sum(1 for r in results if not r.ok),
-            show_latencies=tuple(r.latency_s for r in ok_shows),
-        ))
-    return out
-
-
-def _step_wire(step: GestureStep, session_id: str) -> dict:
-    """The flat wire form of one gesture step (no ``v``: caller adds it)."""
-    from repro.api.protocol import predicate_to_dict
-
-    if step.verb == "show":
-        payload: dict = {"cmd": "show", "session_id": session_id,
-                         "attribute": step.attribute}
-        if step.where is not None:
-            payload["where"] = predicate_to_dict(step.where)
-        if step.bins is not None:
-            payload["bins"] = step.bins
-        if step.descriptive:
-            payload["descriptive"] = True
-        return payload
-    if step.verb in ("star", "unstar"):
-        return {"cmd": step.verb, "session_id": session_id,
-                "hypothesis_id": step.hypothesis_id}
-    raise InvalidParameterError(f"gesture verb {step.verb!r} has no wire form")
-
-
 def _result_hypothesis(result: dict) -> int | None:
     """The hypothesis id a successful wire result names, if any."""
     hypothesis = result.get("hypothesis")
@@ -384,7 +342,7 @@ def _wire_call(service, request: dict) -> dict:
 
 
 def run_gestures_service(
-    service, session_id: str, gestures: Sequence[Sequence[GestureStep]]
+    service, session_id: str, gestures: Sequence[Gesture]
 ) -> list[GestureMeasurement]:
     """``service`` transport: one ``handle()`` round trip per command.
 
@@ -394,30 +352,29 @@ def run_gestures_service(
     parses each response and chains the id into the next command, and a
     failed show aborts the rest of its gesture — exactly what a v1
     client has to do, and the same abort/exhaustion semantics as the
-    other two transports.
+    pipeline envelope.
     """
     out: list[GestureMeasurement] = []
     for gesture in gestures:
         prev: int | None = None
         failed = False
         gesture_start = time.perf_counter()
-        commands = shows = ok_shows = errors = 0
+        shows = ok_shows = errors = 0
         show_latencies: list[float] = []
-        for step in gesture:
-            commands += 1
-            if step.verb == "show":
+        for command in gesture:
+            is_show = command["cmd"] == "show"
+            if is_show:
                 shows += 1
             if failed:
                 errors += 1
                 continue
-            wire = _step_wire(step, session_id)
-            if wire.get("hypothesis_id") == PREV_HYPOTHESIS:
+            wire = {"v": 2, **command, "session_id": session_id}
+            if wire.get("hypothesis_id") == PREV:
                 if prev is None:
                     errors += 1
                     failed = True
                     continue
                 wire["hypothesis_id"] = prev
-            wire["v"] = 2
             start = time.perf_counter()
             envelope = _wire_call(service, wire)
             latency = time.perf_counter() - start
@@ -428,12 +385,12 @@ def run_gestures_service(
             hyp_id = _result_hypothesis(envelope["result"])
             if hyp_id is not None:
                 prev = hyp_id
-            if step.verb == "show":
+            if is_show:
                 ok_shows += 1
                 show_latencies.append(latency)
         out.append(GestureMeasurement(
             latency_s=time.perf_counter() - gesture_start,
-            commands=commands,
+            commands=len(gesture),
             shows=shows,
             ok_shows=ok_shows,
             errors=errors,
@@ -443,15 +400,15 @@ def run_gestures_service(
 
 
 def _chunk_gestures(
-    gestures: Sequence[Sequence[GestureStep]], max_commands: int
-) -> list[list[Sequence[GestureStep]]]:
+    gestures: Sequence[Gesture], max_commands: int
+) -> list[list[Gesture]]:
     """Greedy-pack whole gestures into ≤ *max_commands* envelopes.
 
     A gesture is never split across envelopes: ``"$prev"`` does not
     cross envelope boundaries, so splitting one would strand its star.
     """
-    chunks: list[list[Sequence[GestureStep]]] = []
-    current: list[Sequence[GestureStep]] = []
+    chunks: list[list[Gesture]] = []
+    current: list[Gesture] = []
     size = 0
     for gesture in gestures:
         if len(gesture) > max_commands:
@@ -472,28 +429,26 @@ def _chunk_gestures(
 def run_gestures_pipeline(
     service,
     session_id: str,
-    gestures: Sequence[Sequence[GestureStep]],
-    max_commands: int | None = None,
+    gestures: Sequence[Gesture],
+    max_commands: int = MAX_PIPELINE_COMMANDS,
 ) -> list[GestureMeasurement]:
-    """``pipeline`` transport: gestures batched into v2 envelopes.
+    """``pipeline``/``router`` transport: gestures batched into v2 envelopes.
 
     Whole gestures pack greedily into ``abort_on_error`` envelopes of at
-    most *max_commands* commands (default: the protocol's 64-command
-    bound, via :data:`_PIPELINE_MAX_COMMANDS`) with server-side
-    ``"$prev"`` chaining, each crossing the boundary as JSON text (see
-    :func:`_wire_call`).  One envelope is one round trip, so
+    most *max_commands* commands (default: the protocol's bound) with
+    server-side ``"$prev"`` chaining, each crossing the boundary as JSON
+    text (see :func:`_wire_call`).  One envelope is one round trip, so
     per-gesture/per-show latencies are the envelope wall time amortized
     over its contents.  Building the envelope is timed — the
     per-command transport pays its request building inside the
     measurement too.
     """
-    if max_commands is None:
-        max_commands = _PIPELINE_MAX_COMMANDS
     out: list[GestureMeasurement] = []
     for chunk in _chunk_gestures(gestures, max_commands):
         start = time.perf_counter()
         wire_commands = [
-            _step_wire(step, session_id) for gesture in chunk for step in gesture
+            {**command, "session_id": session_id}
+            for gesture in chunk for command in gesture
         ]
         envelope = {"v": 2, "cmd": "pipeline",
                     "failure_policy": "abort_on_error",
@@ -511,8 +466,8 @@ def run_gestures_pipeline(
             gesture_slots = slots[cursor:cursor + len(gesture)]
             cursor += len(gesture)
             shows = [
-                slot for step, slot in zip(gesture, gesture_slots)
-                if step.verb == "show"
+                slot for command, slot in zip(gesture, gesture_slots)
+                if command["cmd"] == "show"
             ]
             ok_shows = sum(1 for slot in shows if slot["ok"])
             out.append(GestureMeasurement(
@@ -524,6 +479,48 @@ def run_gestures_pipeline(
                 show_latencies=tuple([per_command] * ok_shows),
             ))
     return out
+
+
+def _runner(transport: str) -> Callable[..., list[GestureMeasurement]]:
+    """The runner a transport's traffic goes through: ``service`` sends
+    one command per call, ``pipeline`` and ``router`` send envelopes."""
+    return run_gestures_service if transport == "service" else run_gestures_pipeline
+
+
+def _call(target, request: dict) -> dict:
+    """One setup or read-back call outside the measured section; a
+    failure aborts the cell."""
+    envelope = target.handle_dict(request)
+    if not envelope.get("ok"):
+        raise InvalidParameterError(
+            f"sweep {request['cmd']!r} call failed: {envelope.get('error')}"
+        )
+    return envelope["result"]
+
+
+def _cache_hit_rate(stats: dict) -> float:
+    """Combined mask + histogram hit rate from a ``stats`` result.
+
+    A router's result nests one per worker: fold every worker's counters
+    (each process has its own caches — no cross-process sharing, which
+    is part of what the scaling curve shows).
+    """
+    per_process = stats["workers"].values() if "workers" in stats else (stats,)
+    hits = misses = 0
+    for result in per_process:
+        hits += (result.get("mask_cache_hits", 0)
+                 + result.get("hist_cache_hits", 0))
+        misses += (result.get("mask_cache_misses", 0)
+                   + result.get("hist_cache_misses", 0))
+    return hits / (hits + misses) if hits + misses else 0.0
+
+
+def _discoveries(export: dict) -> int:
+    """Active rejected hypotheses in an ``export`` result."""
+    return sum(
+        1 for h in export.get("hypotheses", ())
+        if h.get("rejected") and h.get("status") == "active"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -714,36 +711,24 @@ class ScaleSweep:
         transport a small cell is a *single* envelope, so that one-time
         cost would dominate its mean and poison the speedup ratio.
         Warming up on a separate tiny census keeps the measured cells'
-        caches and hit counters untouched.
+        caches and hit counters untouched.  ``router`` warms the
+        in-process pipeline path: its own extra costs (HTTP, worker boot)
+        are paid at cluster start, inside the cell but outside its
+        measured section.
         """
         base = make_census(500, seed=self.seed)
         gestures = compile_gestures(_synthetic_streams(base, 1, 4, self.seed)[0])
         for transport in self.transports:
-            manager = SessionManager()
-            manager.register_dataset(base, name="warmup")
-            sid = manager.create_session("warmup", procedure=self.procedure,
-                                         **self.procedure_kwargs)
-            if transport == "manager":
-                run_gestures_manager(manager, sid, gestures)
-            else:
-                from repro.api.service import ExplorationService
-
-                service = ExplorationService(manager=manager, max_sessions=None)
-                if transport == "service":
-                    run_gestures_service(service, sid, gestures)
-                else:
-                    # "pipeline" and "router" both drive pipeline
-                    # envelopes; the router's extra costs (HTTP, worker
-                    # boot) warm up at cluster start, inside the cell
-                    # but outside its measured section.
-                    run_gestures_pipeline(service, sid, gestures)
+            with self._target(base, workers=None) as (target, dataset):
+                (sid,) = self._open_sessions(target, dataset, 1)
+                _runner(transport)(target, sid, gestures)
 
     def run_cell(
         self,
         base: Dataset,
         n_sessions: int,
         workload: str,
-        transport: str = "manager",
+        transport: str,
         workers: int | None = None,
     ) -> SweepCell:
         """Measure one grid cell; ``repeats`` replays pool their samples.
@@ -769,15 +754,9 @@ class ScaleSweep:
         flat: list[GestureMeasurement] = []
         total_wall = 0.0
         for _ in range(self.repeats):
-            if transport == "router":
-                repeat_flat, wall, stats, discoveries, rows = (
-                    self._measure_once_router(base, n_sessions, workload,
-                                              workers)
-                )
-            else:
-                repeat_flat, wall, stats, discoveries, rows = (
-                    self._measure_once(base, n_sessions, workload, transport)
-                )
+            repeat_flat, wall, hit_rate, discoveries = self._measure_once(
+                base, n_sessions, workload, transport, workers
+            )
             flat.extend(repeat_flat)
             total_wall += wall
         per_repeat = len(flat) // self.repeats
@@ -787,7 +766,7 @@ class ScaleSweep:
         )
         ok_shows = sum(m.ok_shows for m in flat)
         return SweepCell(
-            rows=rows,
+            rows=base.n_rows,
             sessions=n_sessions,
             workload=workload,
             transport=transport,
@@ -824,120 +803,45 @@ class ScaleSweep:
             throughput_gestures_per_s=(
                 float(len(flat) / total_wall) if total_wall > 0 else 0.0
             ),
-            cache_hit_rate=stats.shared_cache_hit_rate,
+            cache_hit_rate=hit_rate,
             discoveries=discoveries,
             workers=workers,
         )
 
-    def _measure_once(
-        self,
-        base: Dataset,
-        n_sessions: int,
-        workload: str,
-        transport: str,
-    ) -> tuple[list[GestureMeasurement], float, ServiceStats, int, int]:
-        """One replay of a cell's workload on a fresh view of *base*."""
-        # Fresh object => empty caches; zero-copy, so even the 1M-row cell
-        # costs an index array, not a column copy.
-        dataset = base.select_index(
-            np.arange(base.n_rows, dtype=np.intp), name=f"{base.name}[cell]"
-        )
-        manager = SessionManager()
-        manager.register_dataset(dataset, name="cell")
-        session_ids = [
-            manager.create_session("cell", procedure=self.procedure,
-                                   **self.procedure_kwargs)
-            for _ in range(n_sessions)
-        ]
-        service = None
-        if transport in ("service", "pipeline"):
+    @contextmanager
+    def _target(
+        self, base: Dataset, workers: int | None
+    ) -> Iterator[tuple[object, str]]:
+        """Yield ``(target, dataset name)`` for one replay of a cell.
+
+        The target is whatever answers ``handle_dict``.  In process
+        (*workers* is ``None``) it is an
+        :class:`~repro.api.service.ExplorationService` over a fresh view
+        of *base*: a new object has empty caches, and the view is
+        zero-copy, so even the 1M-row cell costs an index array, not a
+        column copy.  Otherwise it is the router of a freshly started
+        :class:`repro.cluster.Cluster` — *workers* real ``repro serve``
+        processes over a throwaway jsonl store with fsync off (the
+        scaling curve must measure compute, not the disk) — so each
+        envelope crosses to its owning worker as JSON over HTTP.  Worker
+        boot (census generation, ``recover_all``) happens here, outside
+        the measured section, like dataset registration does in process;
+        leaving the context stops the fleet.
+        """
+        if workers is None:
             from repro.api.service import ExplorationService
 
-            service = ExplorationService(manager=manager, max_sessions=None)
-        # Workload generation probes predicate masks (the user-study
-        # generator evaluates filter prevalence), so build the panel
-        # streams against *base* — never the measured view — or the
-        # cell would start with warmed caches and polluted hit counters.
-        # Panels carry only structural predicates, valid on any view.
-        if workload == "synthetic":
-            streams = _synthetic_streams(base, n_sessions, self.steps, self.seed)
-        else:
-            streams = _user_study_streams(base, n_sessions, self.steps, self.seed)
-        gestures_per_session = [compile_gestures(stream) for stream in streams]
+            service = ExplorationService(max_sessions=None)
+            service.register_dataset(
+                base.select_index(np.arange(base.n_rows, dtype=np.intp),
+                                  name=f"{base.name}[cell]"),
+                name="cell",
+            )
+            yield service, "cell"
+            return
 
-        measurements: list[list[GestureMeasurement]] = [
-            [] for _ in range(n_sessions)
-        ]
-
-        def run_session(index: int) -> None:
-            sid = session_ids[index]
-            gestures = gestures_per_session[index]
-            if transport == "manager":
-                measurements[index] = run_gestures_manager(manager, sid, gestures)
-            elif transport == "service":
-                measurements[index] = run_gestures_service(service, sid, gestures)
-            else:
-                measurements[index] = run_gestures_pipeline(service, sid, gestures)
-
-        use_pool = (
-            self.parallel
-            and n_sessions > 1
-            and (self.max_workers is None or self.max_workers > 1)
-        )
-        # GC pauses land on whichever envelope happens to be in flight —
-        # on a one-envelope cell that single spike *is* the mean, so the
-        # collector is paused for the measured section (the standard
-        # microbenchmark discipline; pytest-benchmark does the same).
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        start = time.perf_counter()
-        try:
-            if use_pool:
-                with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                    futures = [
-                        pool.submit(run_session, i) for i in range(n_sessions)
-                    ]
-                    for fut in futures:
-                        fut.result()
-            else:
-                for i in range(n_sessions):
-                    run_session(i)
-        finally:
-            wall = time.perf_counter() - start
-            if gc_was_enabled:
-                gc.enable()
-
-        flat = [m for per_session in measurements for m in per_session]
-        stats = manager.stats()
-        discoveries = sum(
-            len(manager.session(sid).discoveries()) for sid in session_ids
-        )
-        return flat, wall, stats, discoveries, dataset.n_rows
-
-    def _measure_once_router(
-        self,
-        base: Dataset,
-        n_sessions: int,
-        workload: str,
-        workers: int,
-    ):
-        """One replay of a cell's workload through a live worker fleet.
-
-        Boots a fresh :class:`repro.cluster.Cluster` — *workers* real
-        ``repro serve`` processes over a throwaway jsonl store with
-        fsync off (the scaling curve must measure compute, not the
-        disk) — and drives the same compiled gestures as the
-        ``pipeline`` transport straight into the router's
-        ``handle_dict``: each envelope crosses to the owning worker as
-        JSON over HTTP, so the measured path is codec + wire + a whole
-        separate interpreter's execution.  Worker boot (census
-        generation, ``recover_all``) happens outside the measured
-        section, like dataset registration does on the in-process
-        transports.
-        """
         import shutil
         import tempfile
-        from types import SimpleNamespace
 
         from repro.cluster import Cluster
 
@@ -952,24 +856,40 @@ class ScaleSweep:
         )
         try:
             cluster.start()
-            router = cluster.router
+            yield cluster.router, "census"
+        finally:
+            cluster.stop()
+            shutil.rmtree(tmp, ignore_errors=True)
 
-            def call(request: dict) -> dict:
-                envelope = router.handle_dict(request)
-                if not envelope.get("ok"):
-                    raise InvalidParameterError(
-                        f"router cell setup call failed: {envelope.get('error')}"
-                    )
-                return envelope["result"]
+    def _open_sessions(self, target, dataset: str, n_sessions: int) -> list[str]:
+        """Open *n_sessions* sessions through the wire ``create_session``."""
+        create: dict = {"v": 2, "cmd": "create_session", "dataset": dataset,
+                        "procedure": self.procedure}
+        if self.procedure_kwargs:
+            create["procedure_kwargs"] = dict(self.procedure_kwargs)
+        return [_call(target, create)["session_id"] for _ in range(n_sessions)]
 
-            session_ids = []
-            for _ in range(n_sessions):
-                create: dict = {"v": 2, "cmd": "create_session",
-                                "dataset": "census",
-                                "procedure": self.procedure}
-                if self.procedure_kwargs:
-                    create["procedure_kwargs"] = dict(self.procedure_kwargs)
-                session_ids.append(call(create)["session_id"])
+    def _measure_once(
+        self,
+        base: Dataset,
+        n_sessions: int,
+        workload: str,
+        transport: str,
+        workers: int | None,
+    ) -> tuple[list[GestureMeasurement], float, float, int]:
+        """One replay of a cell's workload on a fresh target.
+
+        Returns the gesture measurements, the measured wall time, the
+        cache hit rate and the discovery count.
+        """
+        with self._target(base, workers) as (target, dataset):
+            session_ids = self._open_sessions(target, dataset, n_sessions)
+            # Workload generation probes predicate masks (the user-study
+            # generator evaluates filter prevalence), so build the panel
+            # streams against *base* — never the measured view — or the
+            # cell would start with warmed caches and polluted hit
+            # counters.  Panels carry only structural predicates, valid
+            # on any view.
             if workload == "synthetic":
                 streams = _synthetic_streams(base, n_sessions, self.steps,
                                              self.seed)
@@ -977,13 +897,14 @@ class ScaleSweep:
                 streams = _user_study_streams(base, n_sessions, self.steps,
                                               self.seed)
             gestures_per_session = [compile_gestures(s) for s in streams]
+            runner = _runner(transport)
             measurements: list[list[GestureMeasurement]] = [
                 [] for _ in range(n_sessions)
             ]
 
             def run_session(index: int) -> None:
-                measurements[index] = run_gestures_pipeline(
-                    router, session_ids[index], gestures_per_session[index]
+                measurements[index] = runner(
+                    target, session_ids[index], gestures_per_session[index]
                 )
 
             use_pool = (
@@ -991,53 +912,34 @@ class ScaleSweep:
                 and n_sessions > 1
                 and (self.max_workers is None or self.max_workers > 1)
             )
+            # GC pauses land on whichever envelope happens to be in
+            # flight — on a one-envelope cell that single spike *is* the
+            # mean, so the collector is paused for the measured section
+            # (the standard microbenchmark discipline; pytest-benchmark
+            # does the same).
             gc_was_enabled = gc.isenabled()
             gc.disable()
             start = time.perf_counter()
             try:
                 if use_pool:
                     with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                        futures = [
-                            pool.submit(run_session, i)
-                            for i in range(n_sessions)
-                        ]
-                        for fut in futures:
-                            fut.result()
+                        list(pool.map(run_session, range(n_sessions)))
                 else:
-                    for i in range(n_sessions):
-                        run_session(i)
+                    for index in range(n_sessions):
+                        run_session(index)
             finally:
                 wall = time.perf_counter() - start
                 if gc_was_enabled:
                     gc.enable()
 
-            # Fleet-wide cache hit rate: fold every worker's counters
-            # (each process has its own caches — no cross-process
-            # sharing, which is part of what the scaling curve shows).
-            worker_stats = call({"v": 2, "cmd": "stats"})["workers"]
-            hits = misses = 0
-            for result in worker_stats.values():
-                hits += (result.get("mask_cache_hits", 0)
-                         + result.get("hist_cache_hits", 0))
-                misses += (result.get("mask_cache_misses", 0)
-                           + result.get("hist_cache_misses", 0))
-            stats = SimpleNamespace(
-                shared_cache_hit_rate=(
-                    hits / (hits + misses) if hits + misses else 0.0
-                )
+            hit_rate = _cache_hit_rate(_call(target, {"v": 2, "cmd": "stats"}))
+            discoveries = sum(
+                _discoveries(_call(target, {"v": 2, "cmd": "export",
+                                            "session_id": sid}))
+                for sid in session_ids
             )
-            discoveries = 0
-            for sid in session_ids:
-                export = call({"v": 2, "cmd": "export", "session_id": sid})
-                discoveries += sum(
-                    1 for h in export.get("hypotheses", ())
-                    if h.get("rejected") and h.get("status") == "active"
-                )
-            flat = [m for per_session in measurements for m in per_session]
-            return flat, wall, stats, discoveries, base.n_rows
-        finally:
-            cluster.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
+        flat = [m for per_session in measurements for m in per_session]
+        return flat, wall, hit_rate, discoveries
 
 
 def sweep_extra(sweep: ScaleSweep, label: str | None = None) -> dict:

@@ -3,7 +3,8 @@
 The README's verb table and the :mod:`repro.api` migration notes are the
 human-facing copies of ``protocol_model.json``; this pins them to the
 machine-readable model so a new verb (or a removed one) cannot ship with
-stale docs.
+stale docs.  The README's transport table is pinned the same way to the
+scale sweep's ``TRANSPORTS``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ MODEL = json.loads((REPO_ROOT / "protocol_model.json").read_text())
 #: tables (layout, transport axis).
 _VERB_ROW = re.compile(r"^\|\s*`([a-z_]+)`\s*\|\s*v([12])\s*\|")
 
+#: Header of the README's sweep transport table.
+_TRANSPORT_HEADER = "| transport | how gesture traffic arrives |"
+
+#: A row of any backticked table: ``| `service` | ... |``.
+_BACKTICKED_ROW = re.compile(r"^\|\s*`([a-z_-]+)`\s*\|")
+
 
 def _readme_verb_rows() -> dict[str, int]:
     rows = {}
@@ -30,6 +37,18 @@ def _readme_verb_rows() -> dict[str, int]:
         if m:
             rows[m.group(1)] = int(m.group(2))
     return rows
+
+
+def _readme_transport_rows() -> tuple[str, ...]:
+    lines = (REPO_ROOT / "README.md").read_text().splitlines()
+    start = lines.index(_TRANSPORT_HEADER) + 2  # skip the | --- | rule
+    rows = []
+    for line in lines[start:]:
+        m = _BACKTICKED_ROW.match(line)
+        if not m:
+            break
+        rows.append(m.group(1))
+    return tuple(rows)
 
 
 def test_readme_verb_table_matches_protocol_model():
@@ -59,3 +78,9 @@ def test_api_migration_notes_do_not_invent_verbs():
     notes = api_pkg.__doc__ or ""
     mentioned = set(re.findall(r'\{"cmd": "([a-z_]+)"', notes))
     assert mentioned <= set(MODEL["verbs"]), mentioned - set(MODEL["verbs"])
+
+
+def test_readme_transport_table_matches_sweep():
+    from repro.service.sweep import TRANSPORTS
+
+    assert _readme_transport_rows() == TRANSPORTS

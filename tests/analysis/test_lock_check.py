@@ -1,9 +1,10 @@
 """Regression: real workloads run clean under ``REPRO_LOCK_CHECK=1``.
 
 The satellite contract for the runtime detector — the transport
-equivalence drive (manager / per-command service / batched pipeline) and
-a durable evict→recover cycle must produce byte-identical decision logs
-with *zero* lock-discipline events.  A boundary may swallow the
+equivalence drive (per-command service / batched pipeline), threads
+sending pipeline envelopes, and a durable evict→recover cycle must
+produce byte-identical decision logs with *zero* lock-discipline
+events.  A boundary may swallow the
 ``LockDisciplineError`` into an INTERNAL envelope, but the event ledger
 cannot be fooled, so asserting on it catches violations wherever they
 are raised.  (CI additionally runs the whole tier-1 suite and the kill-9
@@ -18,13 +19,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import runtime as rt
+from repro.api.protocol import PREV, predicate_to_dict
+from repro.api.service import ExplorationService
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Eq
-from repro.service.manager import (
-    PREV_HYPOTHESIS,
-    GestureStep,
-    SessionManager,
-)
+from repro.service.manager import SessionManager
+from repro.service.sweep import run_gestures_pipeline, run_gestures_service
 
 
 @pytest.fixture(autouse=True)
@@ -49,13 +49,18 @@ def _dataset() -> Dataset:
     )
 
 
-def _gestures() -> list[tuple[GestureStep, ...]]:
+def _show(attribute: str, where: Eq) -> dict:
+    return {"cmd": "show", "attribute": attribute,
+            "where": predicate_to_dict(where)}
+
+
+def _gestures() -> list[tuple[dict, ...]]:
     gestures = []
     for category in ("red", "blue", "green", "red", "blue"):
         gestures.append((
-            GestureStep("show", attribute="shape", where=Eq("color", category)),
-            GestureStep("star", hypothesis_id=PREV_HYPOTHESIS),
-            GestureStep("show", attribute="color", where=Eq("shape", "circle")),
+            _show("shape", Eq("color", category)),
+            {"cmd": "star", "hypothesis_id": PREV},
+            _show("color", Eq("shape", "circle")),
         ))
     return gestures
 
@@ -65,16 +70,8 @@ def _checked(manager: SessionManager) -> None:
 
 
 def test_transport_equivalence_with_zero_events():
-    from repro.api.service import ExplorationService
-    from repro.service.sweep import (
-        run_gestures_manager,
-        run_gestures_pipeline,
-        run_gestures_service,
-    )
-
     logs = {}
     for transport, runner in (
-        ("manager", run_gestures_manager),
         ("service", run_gestures_service),
         ("pipeline", run_gestures_pipeline),
     ):
@@ -83,21 +80,23 @@ def test_transport_equivalence_with_zero_events():
         manager.register_dataset(_dataset(), name="d")
         service = ExplorationService(manager, max_sessions=None)
         sid = manager.create_session("d")
-        target = manager if transport == "manager" else service
-        runner(target, sid, _gestures())
+        runner(service, sid, _gestures())
         logs[transport] = manager.decision_log_bytes(sid)
-    assert logs["manager"] == logs["service"] == logs["pipeline"]
+    assert logs["service"] == logs["pipeline"]
 
 
 def test_threaded_dispatch_with_zero_events():
-    """N threads × M sessions, overlapping shows: no inversions, no
-    unlocked helper entries, decision logs identical to serial."""
-    def drive(manager: SessionManager, sids: list[str]) -> None:
-        def work(sid: str) -> None:
-            for gesture in _gestures():
-                manager.execute_gesture(sid, gesture)
-
-        threads = [threading.Thread(target=work, args=(sid,)) for sid in sids]
+    """N threads × M sessions, each thread sending its session's
+    gestures as pipeline envelopes (one gesture per envelope, so threads
+    interleave between envelopes): no inversions, no unlocked helper
+    entries, decision logs identical to serial."""
+    def drive(service: ExplorationService, sids: list[str]) -> None:
+        threads = [
+            threading.Thread(target=run_gestures_pipeline,
+                             args=(service, sid, _gestures()),
+                             kwargs={"max_commands": 3})
+            for sid in sids
+        ]
         for t in threads:
             t.start()
         for t in threads:
@@ -107,14 +106,15 @@ def test_threaded_dispatch_with_zero_events():
     _checked(threaded)
     threaded.register_dataset(_dataset(), name="d")
     sids = [threaded.create_session("d") for _ in range(4)]
-    drive(threaded, sids)
+    drive(ExplorationService(threaded, max_sessions=None), sids)
 
     serial = SessionManager()
     serial.register_dataset(_dataset(), name="d")
+    serial_service = ExplorationService(serial, max_sessions=None)
     serial_sids = [serial.create_session("d") for _ in range(4)]
     for sid in serial_sids:
-        for gesture in _gestures():
-            serial.execute_gesture(sid, gesture)
+        run_gestures_pipeline(serial_service, sid, _gestures(),
+                              max_commands=3)
 
     for sid_t, sid_s in zip(sids, serial_sids):
         assert threaded.decision_log_bytes(sid_t) == serial.decision_log_bytes(sid_s)
@@ -128,8 +128,8 @@ def test_durable_evict_recover_with_zero_events(tmp_path):
         _checked(manager)
         manager.register_dataset(_dataset(), name="d")
         sid = manager.create_session("d")  # store attached → durable
-        for gesture in _gestures()[:2]:
-            manager.execute_gesture(sid, gesture)
+        service = ExplorationService(manager, max_sessions=None)
+        run_gestures_pipeline(service, sid, _gestures()[:2])
         before = manager.decision_log_bytes(sid)
         assert manager._evict_session(sid, reason="test")
         manager.recover_session(sid)

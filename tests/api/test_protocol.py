@@ -88,6 +88,7 @@ class TestCommandCodec:
         {"v": 1, "cmd": "create_session", "dataset": "census", "alpha": "low"},
         {"v": 1, "cmd": "show", "session_id": "s", "attribute": "age",
          "bins": "ten"},
+        {"v": 2, "cmd": "star", "session_id": "s", "hypothesis_id": None},
     ])
     def test_type_malformed_fields_are_protocol_errors(self, payload):
         """Bad field types must be a client-side PROTOCOL error, never an

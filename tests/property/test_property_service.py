@@ -6,12 +6,16 @@ decision logs **byte-identical** to the same sessions run serially:
 sessions share only immutable columns and thread-safe memo caches, so
 parallelism may change latency but never a p-value, a wealth trajectory,
 or a rejection.  Hypothesis generates the workloads — which panels each
-session shows, in which interleaving the batch arrives, and how wide the
+session shows, in which interleaving the traffic arrives, and how wide the
 thread pool is — and every example replays the exact same traffic twice,
-serial then threaded, comparing the canonical serialized logs.
+serial then threaded, comparing the canonical serialized logs.  The
+serial run calls ``SessionManager.show`` in arrival order; the threaded
+run gives each session one pool task that calls it in stream order.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Eq
-from repro.service import SessionManager, ShowRequest
+from repro.service import SessionManager
 
 _COLORS = ("red", "blue", "green")
 _SHAPES = ("circle", "square", "triangle")
@@ -67,9 +71,8 @@ def traffic(draw):
         draw(st.lists(panel(), min_size=1, max_size=8))
         for _ in range(n_sessions)
     ]
-    # arrival interleaving: shuffle which session each batch slot belongs
-    # to; within one session, steps always arrive in stream order (the
-    # batch order across sessions is what exercises the grouping logic)
+    # arrival interleaving: shuffle which session each traffic slot
+    # belongs to; within one session, steps always arrive in stream order
     slots = [s for s, stream in enumerate(streams) for _ in stream]
     order = draw(st.permutations(slots))
     seen = {s: 0 for s in range(n_sessions)}
@@ -88,15 +91,22 @@ def _run(streams, arrival, parallel: bool, max_workers) -> list[bytes]:
     dataset = _BASE.select_index(
         np.arange(_BASE.n_rows, dtype=np.intp), name="replay"
     )
-    manager = SessionManager(max_workers=max_workers)
+    manager = SessionManager()
     manager.register_dataset(dataset, name="d")
     sids = [manager.create_session("d") for _ in range(len(streams))]
-    requests = [
-        ShowRequest(sids[s], streams[s][i][0], where=streams[s][i][1])
-        for s, i in arrival
-    ]
-    responses = manager.dispatch(requests, parallel=parallel)
-    assert all(r.ok for r in responses), [r.error for r in responses if not r.ok]
+    if not parallel:
+        for s, i in arrival:
+            manager.show(sids[s], streams[s][i][0], where=streams[s][i][1])
+        return [manager.decision_log_bytes(sid) for sid in sids]
+
+    def run_session(s: int) -> None:
+        for attribute, where in streams[s]:
+            manager.show(sids[s], attribute, where=where)
+
+    # One task per session, submitted in order of first arrival.
+    first_arrivals = list(dict.fromkeys(s for s, _ in arrival))
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        list(pool.map(run_session, first_arrivals))
     return [manager.decision_log_bytes(sid) for sid in sids]
 
 

@@ -1,10 +1,10 @@
 """Property: the transport is invisible in the decisions.
 
 The scale sweep drives the same gesture workload through three
-transports — direct :meth:`SessionManager.execute_gesture` dispatch,
-per-command ``ExplorationService.handle()`` calls with client-side
-``"$prev"`` resolution, and batched v2 pipeline envelopes with
-server-side chaining.  For random multi-session gesture streams
+transports — per-command ``ExplorationService.handle()`` calls with
+client-side ``"$prev"`` resolution, batched v2 pipeline envelopes with
+server-side chaining, and those envelopes through a consistent-hash
+router over several workers.  For random multi-session gesture streams
 (including streams whose α-wealth runs dry mid-way, where shows start
 failing), all three must produce **byte-identical** per-session decision
 logs: the transport may change latency and round trips, never a
@@ -18,16 +18,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.protocol import PREV, predicate_to_dict
 from repro.api.service import ExplorationService
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Eq
 from repro.service import SessionManager
-from repro.service.manager import PREV_HYPOTHESIS, GestureStep
-from repro.service.sweep import (
-    run_gestures_manager,
-    run_gestures_pipeline,
-    run_gestures_service,
-)
+from repro.service.sweep import run_gestures_pipeline, run_gestures_service
 
 _COLORS = ("red", "blue", "green")
 _SHAPES = ("circle", "square", "triangle")
@@ -59,25 +55,25 @@ def gesture(draw):
 
     Well-formed means the star follows at least one show of the same
     gesture, which is the only shape the sweep compiler emits.  This is
-    also the equivalence domain: a gesture whose *first* step fails for
-    a reason other than wealth exhaustion (e.g. a star before any show)
-    aborts only itself on the gesture-scoped transports but the whole
+    also the equivalence domain: a gesture whose *first* command fails
+    for a reason other than wealth exhaustion (e.g. a star before any
+    show) aborts only itself on the per-command transport but the whole
     remaining envelope on the pipeline transport (``abort_on_error``
     scopes to the envelope, by protocol design) — so such gestures are
     excluded here and never generated by ``compile_gestures``.
     """
     n_shows = draw(st.integers(min_value=1, max_value=3))
-    steps: list[GestureStep] = []
+    commands: list[dict] = []
     star_at = draw(st.integers(min_value=1, max_value=n_shows))
     for i in range(n_shows):
         target = draw(st.sampled_from(_ATTRS))
         filt_attr = draw(st.sampled_from([a for a in _ATTRS if a != target]))
         category = draw(st.sampled_from(_CATEGORY[filt_attr]))
-        steps.append(GestureStep("show", attribute=target,
-                                 where=Eq(filt_attr, category)))
+        commands.append({"cmd": "show", "attribute": target,
+                         "where": predicate_to_dict(Eq(filt_attr, category))})
         if star_at == i + 1:
-            steps.append(GestureStep("star", hypothesis_id=PREV_HYPOTHESIS))
-    return tuple(steps)
+            commands.append({"cmd": "star", "hypothesis_id": PREV})
+    return tuple(commands)
 
 
 @st.composite
@@ -190,13 +186,10 @@ def _run(transport: str, streams, exhausting: bool,
     )
     sids = [manager.create_session("d", **kwargs) for _ in streams]
     service = ExplorationService(manager=manager, max_sessions=None)
+    runner = (run_gestures_service if transport == "service"
+              else run_gestures_pipeline)
     for sid, gestures in zip(sids, streams):
-        if transport == "manager":
-            run_gestures_manager(manager, sid, gestures)
-        elif transport == "service":
-            run_gestures_service(service, sid, gestures)
-        else:
-            run_gestures_pipeline(service, sid, gestures)
+        runner(service, sid, gestures)
     return [manager.decision_log_bytes(sid) for sid in sids]
 
 
@@ -205,10 +198,10 @@ class TestTransportEquivalence:
     @given(workload())
     def test_three_transports_byte_identical_logs(self, case):
         streams, exhausting = case
-        manager_logs = _run("manager", streams, exhausting)
         service_logs = _run("service", streams, exhausting)
         pipeline_logs = _run("pipeline", streams, exhausting)
-        assert manager_logs == service_logs == pipeline_logs
+        router_logs = _run_router(streams, exhausting, move_at_half=False)
+        assert service_logs == pipeline_logs == router_logs
 
     @settings(max_examples=10, deadline=None)
     @given(workload())
@@ -218,9 +211,9 @@ class TestTransportEquivalence:
         via durable recovery — is just another transport: byte-identical
         decision logs, including wealth-exhausted streams."""
         streams, exhausting = case
-        manager_logs = _run("manager", streams, exhausting)
+        service_logs = _run("service", streams, exhausting)
         router_logs = _run_router(streams, exhausting)
-        assert router_logs == manager_logs
+        assert router_logs == service_logs
 
     @settings(max_examples=10, deadline=None)
     @given(workload(), st.integers(min_value=5, max_value=64))
@@ -274,7 +267,7 @@ class TestStoreEquivalence:
 
         streams, exhausting = case
         store = MemorySessionStore()
-        logs = _run("manager", streams, exhausting, store=store,
+        logs = _run("pipeline", streams, exhausting, store=store,
                     snapshot_every=2)
         dataset = _BASE.select_index(
             np.arange(_BASE.n_rows, dtype=np.intp), name="recovered"

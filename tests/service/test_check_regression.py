@@ -281,6 +281,5 @@ class TestScaleCells:
         """The committed BENCH_scale.json's latest record must expose the
         transport cells the CI gates require."""
         means = check_regression.load_means(REPO_ROOT / "BENCH_scale.json")
-        for transport in ("manager", "service", "pipeline",
-                          "router_w1", "router_w4"):
+        for transport in ("service", "pipeline", "router_w1", "router_w4"):
             assert f"scale_100000x16_synthetic_{transport}" in means

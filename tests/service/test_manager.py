@@ -1,4 +1,4 @@
-"""SessionManager: registry, isolation, batched dispatch, decision logs."""
+"""SessionManager: registry, isolation, shared caches, decision logs."""
 
 import json
 import threading
@@ -9,7 +9,7 @@ from repro.errors import InvalidParameterError, SessionError
 from repro.exploration.engine import ThreadSafeLRUCache
 from repro.exploration.predicate import Eq
 from repro.exploration.session import ExplorationSession
-from repro.service import SessionManager, ShowRequest
+from repro.service import SessionManager
 from repro.workloads.census import make_census
 
 
@@ -22,9 +22,14 @@ def manager(census):
 
 def _panel_requests(census, session_id, attribute="sex", filter_attr="occupation"):
     return [
-        ShowRequest(session_id, attribute, where=Eq(filter_attr, cat))
+        (session_id, attribute, Eq(filter_attr, cat))
         for cat in census.categories(filter_attr)
     ]
+
+
+def _show_all(manager, requests):
+    for session_id, attribute, where in requests:
+        manager.show(session_id, attribute, where=where)
 
 
 class TestRegistry:
@@ -94,8 +99,7 @@ class TestIsolation:
         a = manager.create_session("census")
         b = manager.create_session("census")
         initial = manager.wealth(b)
-        for req in _panel_requests(census, a):
-            manager.show(req.session_id, req.attribute, where=req.where)
+        _show_all(manager, _panel_requests(census, a))
         # a spent wealth; b never tested, so its ledger is untouched
         assert manager.wealth(a) != initial
         assert manager.wealth(b) == initial
@@ -107,85 +111,21 @@ class TestIsolation:
         assert manager.session(a).procedure is not manager.session(b).procedure
 
     def test_dispatch_never_overturns_earlier_decisions(self, manager, census):
-        """Interleaved dispatch across sessions keeps per-session logs
-        append-only: earlier records are byte-identical after more traffic."""
+        """Traffic across sessions keeps per-session logs append-only:
+        earlier records are byte-identical after more traffic."""
         a = manager.create_session("census")
         b = manager.create_session("census")
         first = _panel_requests(census, a)[:3] + _panel_requests(census, b)[:3]
-        manager.dispatch(first)
+        _show_all(manager, first)
         snapshot_a = manager.decision_log(a)
         snapshot_b = manager.decision_log(b)
         more = (
             _panel_requests(census, a, attribute="education")[3:]
             + _panel_requests(census, b, attribute="race")[3:]
         )
-        manager.dispatch(more)
+        _show_all(manager, more)
         assert manager.decision_log(a)[: len(snapshot_a)] == snapshot_a
         assert manager.decision_log(b)[: len(snapshot_b)] == snapshot_b
-
-
-class TestDispatch:
-    def test_responses_in_batch_order(self, manager, census):
-        a = manager.create_session("census")
-        b = manager.create_session("census")
-        reqs = []
-        for ra, rb in zip(_panel_requests(census, a), _panel_requests(census, b)):
-            reqs.extend([ra, rb])
-        responses = manager.dispatch(reqs)
-        assert [r.request for r in responses] == reqs
-        assert [r.index for r in responses] == list(range(len(reqs)))
-        assert all(r.ok for r in responses)
-
-    def test_same_session_requests_execute_in_order(self, manager, census):
-        sid = manager.create_session("census")
-        reqs = _panel_requests(census, sid)
-        manager.dispatch(reqs)
-        log = manager.decision_log(sid)
-        assert [r.seq for r in log] == list(range(len(log)))
-        # hypothesis ids grow with submission order within the session
-        ids = [r.hypothesis_id for r in log]
-        assert ids == sorted(ids)
-
-    def test_serial_and_parallel_dispatch_agree(self, census):
-        outcomes = []
-        for parallel in (False, True):
-            m = SessionManager()
-            ds = make_census(2_000, seed=0)
-            m.register_dataset(ds, name="census")
-            sids = [m.create_session("census") for _ in range(4)]
-            reqs = []
-            for sid in sids:
-                reqs.extend(_panel_requests(ds, sid))
-            m.dispatch(reqs, parallel=parallel)
-            outcomes.append([m.decision_log_bytes(sid) for sid in sids])
-        assert outcomes[0] == outcomes[1]
-
-    def test_bad_request_yields_error_response_not_abort(self, manager, census):
-        sid = manager.create_session("census")
-        reqs = [
-            ShowRequest(sid, "sex"),
-            ShowRequest(sid, "no_such_column"),
-            ShowRequest("ghost-session", "sex"),
-            ShowRequest(sid, "education"),
-        ]
-        responses = manager.dispatch(reqs)
-        assert [r.ok for r in responses] == [True, False, False, True]
-        assert "SchemaError" in responses[1].error
-        assert "SessionError" in responses[2].error
-
-    def test_max_workers_zero_forces_serial(self, census):
-        m = SessionManager(max_workers=0)
-        ds = make_census(1_000, seed=0)
-        m.register_dataset(ds, name="census")
-        sids = [m.create_session("census") for _ in range(2)]
-        reqs = [ShowRequest(s, "sex", where=Eq("occupation", c))
-                for s in sids for c in ds.categories("occupation")[:3]]
-        responses = m.dispatch(reqs)
-        assert all(r.ok for r in responses)
-
-    def test_negative_max_workers_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            SessionManager(max_workers=-1)
 
 
 class TestSharedCache:
@@ -234,7 +174,7 @@ class TestSharedCache:
 class TestLogsAndStats:
     def test_decision_log_bytes_canonical_json(self, manager, census):
         sid = manager.create_session("census")
-        manager.dispatch(_panel_requests(census, sid))
+        _show_all(manager, _panel_requests(census, sid))
         payload = json.loads(manager.decision_log_bytes(sid))
         assert len(payload) == len(manager.decision_log(sid))
         for entry in payload:
@@ -247,7 +187,7 @@ class TestLogsAndStats:
 
     def test_session_and_service_stats(self, manager, census):
         sid = manager.create_session("census")
-        manager.dispatch(_panel_requests(census, sid))
+        _show_all(manager, _panel_requests(census, sid))
         s = manager.session_stats(sid)
         assert s.shows == len(census.categories("occupation"))
         assert s.decisions == len(manager.decision_log(sid))

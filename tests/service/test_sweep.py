@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.protocol import predicate_to_dict
 from repro.errors import InvalidParameterError
-from repro.service.manager import GestureStep, SessionManager
+from repro.service.manager import SessionManager
 from repro.service.sweep import (
     DEFAULT_TRANSPORTS,
     TRANSPORTS,
@@ -17,7 +18,6 @@ from repro.service.sweep import (
     cell_bench_name,
     compile_gestures,
     format_cells,
-    run_gestures_manager,
     run_gestures_pipeline,
     run_gestures_service,
     run_metadata,
@@ -43,14 +43,16 @@ class TestGestureCompilation:
         stream = _synthetic_streams(base, 1, 7, seed=0)[0]
         gestures = compile_gestures(stream)
         assert len(gestures) == 3  # 3 + 3 + 1 shows
-        verbs = [[s.verb for s in g] for g in gestures]
+        verbs = [[c["cmd"] for c in g] for g in gestures]
         assert verbs == [["show", "star", "show", "show"],
                         ["show", "star", "show", "show"],
                         ["show", "star"]]
         # every show keeps its stream position
-        shown = [(s.attribute, s.where) for g in gestures
-                 for s in g if s.verb == "show"]
-        assert shown == stream
+        shown = [(c["attribute"], c["where"]) for g in gestures
+                 for c in g if c["cmd"] == "show"]
+        assert shown == [(a, predicate_to_dict(p)) for a, p in stream]
+        # commands are addressed by the runner, not the compiler
+        assert all("session_id" not in c for g in gestures for c in g)
 
     def test_chunking_packs_whole_gestures_only(self):
         gestures = compile_gestures([("a", None)] * 30)  # 10 gestures of 4
@@ -63,23 +65,17 @@ class TestGestureCompilation:
         assert [sum(len(g) for g in c) for c in chunks][0] == 8  # 2 gestures
 
     def test_oversized_gesture_rejected(self):
-        gesture = tuple(GestureStep("show", attribute="a") for _ in range(65))
+        gesture = tuple({"cmd": "show", "attribute": "a"} for _ in range(65))
         with pytest.raises(InvalidParameterError):
             _chunk_gestures([gesture], max_commands=64)
-
-    def test_envelope_bound_matches_protocol(self):
-        from repro.api.protocol import MAX_PIPELINE_COMMANDS
-        from repro.service import sweep
-
-        assert sweep._PIPELINE_MAX_COMMANDS == MAX_PIPELINE_COMMANDS
 
 
 class TestSweep:
     def test_grid_shape(self, small_cells):
-        # 1 row scale x 2 session counts x 2 workloads x 3 default
+        # 1 row scale x 2 session counts x 2 workloads x 2 default
         # (in-process) transports; router cells are opt-in via
         # workers_grid and boot OS processes.
-        assert len(small_cells) == 12
+        assert len(small_cells) == 8
         assert {(c.sessions, c.workload, c.transport) for c in small_cells} == {
             (s, w, t)
             for s in (1, 3)
@@ -123,8 +119,10 @@ class TestSweep:
     def test_serial_and_parallel_sweeps_same_discoveries(self):
         base = make_census(1_500, seed=0)
         kwargs = dict(rows_grid=(1_500,), sessions_grid=(3,), steps=6, seed=0)
-        serial = ScaleSweep(parallel=False, **kwargs).run_cell(base, 3, "synthetic")
-        threaded = ScaleSweep(parallel=True, **kwargs).run_cell(base, 3, "synthetic")
+        serial = ScaleSweep(parallel=False, **kwargs).run_cell(
+            base, 3, "synthetic", "pipeline")
+        threaded = ScaleSweep(parallel=True, **kwargs).run_cell(
+            base, 3, "synthetic", "pipeline")
         assert serial.discoveries == threaded.discoveries
         assert serial.total_shows == threaded.total_shows
 
@@ -145,8 +143,10 @@ class TestSweep:
     def test_repeats_pool_samples_but_keep_counts(self):
         base = make_census(1_000, seed=0)
         kwargs = dict(rows_grid=(1_000,), sessions_grid=(2,), steps=6, seed=0)
-        once = ScaleSweep(repeats=1, **kwargs).run_cell(base, 2, "synthetic")
-        thrice = ScaleSweep(repeats=3, **kwargs).run_cell(base, 2, "synthetic")
+        once = ScaleSweep(repeats=1, **kwargs).run_cell(
+            base, 2, "synthetic", "service")
+        thrice = ScaleSweep(repeats=3, **kwargs).run_cell(
+            base, 2, "synthetic", "service")
         assert thrice.total_shows == once.total_shows
         assert thrice.gestures == once.gestures
         assert thrice.discoveries == once.discoveries
@@ -179,6 +179,7 @@ class TestTransportEquivalence:
         import numpy as np
 
         from repro.api.service import ExplorationService
+        from repro.cluster import LocalWorker, RouterService
 
         ds = base.select_index(np.arange(base.n_rows, dtype=np.intp), name="v")
         manager = SessionManager()
@@ -187,15 +188,18 @@ class TestTransportEquivalence:
             manager.create_session("cell", **session_kwargs)
             for _ in gestures_per_session
         ]
-        service = ExplorationService(manager=manager, max_sessions=None)
-        measurements = []
-        for sid, gestures in zip(sids, gestures_per_session):
-            if transport == "manager":
-                measurements.append(run_gestures_manager(manager, sid, gestures))
-            elif transport == "service":
-                measurements.append(run_gestures_service(service, sid, gestures))
-            else:
-                measurements.append(run_gestures_pipeline(service, sid, gestures))
+        target = ExplorationService(manager=manager, max_sessions=None)
+        if transport == "router":
+            # the in-process model of a one-worker fleet
+            router = RouterService()
+            router.add_worker("w0", LocalWorker("w0", target))
+            target = router
+        runner = (run_gestures_service if transport == "service"
+                  else run_gestures_pipeline)
+        measurements = [
+            runner(target, sid, gestures)
+            for sid, gestures in zip(sids, gestures_per_session)
+        ]
         logs = [manager.decision_log_bytes(sid) for sid in sids]
         return logs, measurements
 
@@ -203,11 +207,9 @@ class TestTransportEquivalence:
         base = make_census(1_500, seed=0)
         streams = _synthetic_streams(base, 3, 8, seed=1)
         gestures = [compile_gestures(s) for s in streams]
-        results = {
-            t: self._run(t, base, gestures) for t in DEFAULT_TRANSPORTS
-        }
+        results = {t: self._run(t, base, gestures) for t in TRANSPORTS}
         logs = {t: r[0] for t, r in results.items()}
-        assert logs["manager"] == logs["service"] == logs["pipeline"]
+        assert logs["service"] == logs["pipeline"] == logs["router"]
 
     def test_equivalence_survives_wealth_exhaustion(self):
         """The error-heavy regime: an exhausting procedure must fail the
@@ -217,16 +219,16 @@ class TestTransportEquivalence:
         gestures = [compile_gestures(s) for s in streams]
         results = {
             t: self._run(t, base, gestures, procedure="gamma-fixed", gamma=3.0)
-            for t in DEFAULT_TRANSPORTS
+            for t in TRANSPORTS
         }
         logs = {t: r[0] for t, r in results.items()}
-        assert logs["manager"] == logs["service"] == logs["pipeline"]
+        assert logs["service"] == logs["pipeline"] == logs["router"]
         errors = {
             t: sum(m.errors for per in r[1] for m in per)
             for t, r in results.items()
         }
-        assert errors["manager"] > 0
-        assert errors["manager"] == errors["service"] == errors["pipeline"]
+        assert errors["service"] > 0
+        assert errors["service"] == errors["pipeline"] == errors["router"]
 
 
 class TestErrorAccounting:
@@ -239,7 +241,7 @@ class TestErrorAccounting:
             rows_grid=(1_000,), sessions_grid=(2,), steps=12, seed=0,
             procedure="gamma-fixed", procedure_kwargs={"gamma": 3.0},
         )
-        return sweep.run_cell(base, 2, "user-study")
+        return sweep.run_cell(base, 2, "user-study", "service")
 
     def test_errors_surface_in_cell(self, exhausted_cell):
         assert exhausted_cell.errors > 0
@@ -279,7 +281,7 @@ class TestLedger:
         payload = json.loads(path.read_text())
         assert payload["suite"] == "scale-sweep"
         assert [r["label"] for r in payload["records"]] == ["t1", "t2"]
-        assert len(payload["records"][0]["cells"]) == 12
+        assert len(payload["records"][0]["cells"]) == len(small_cells)
         assert len(payload["records"][1]["cells"]) == 1
 
     def test_cells_carry_transport_fields(self, small_cells, tmp_path):
@@ -313,7 +315,7 @@ class TestLedger:
 
 class TestCliEntryPoints:
     def test_run_scale_sweep_script(self, tmp_path):
-        """The acceptance-criteria path, at reduced scale: all three
+        """The acceptance-criteria path, at reduced scale: both default
         transports emit cells and pipeline cells record a speedup."""
         out = tmp_path / "BENCH_scale.json"
         result = subprocess.run(
@@ -346,7 +348,7 @@ class TestCliEntryPoints:
                 sys.executable,
                 str(REPO_ROOT / "benchmarks" / "run_scale_sweep.py"),
                 "--rows", "1000", "--sessions", "1", "--steps", "4",
-                "--transport", "manager", "--output", str(out),
+                "--transport", "pipeline", "--output", str(out),
             ],
             capture_output=True,
             text=True,
@@ -354,7 +356,7 @@ class TestCliEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         cells = json.loads(out.read_text())["records"][0]["cells"]
-        assert {c["transport"] for c in cells} == {"manager"}
+        assert {c["transport"] for c in cells} == {"pipeline"}
 
     def test_cli_transport_choices_match_sweep(self):
         """The serve-sweep --transport choices are hardcoded (the CLI
@@ -383,7 +385,7 @@ class TestCliEntryPoints:
 
         assert main([
             "serve-sweep", "--rows", "1000", "--sessions", "2", "--steps", "4",
-            "--transport", "manager", "service",
+            "--transport", "service", "pipeline",
         ]) == 0
         out = capsys.readouterr().out
         assert "service scale sweep" in out
@@ -397,14 +399,14 @@ class TestCliEntryPoints:
         out = tmp_path / "ledger.json"
         assert main([
             "serve-sweep", "--rows", "1000", "--sessions", "2", "--steps", "4",
-            "--serial", "--label", "cli-test", "--transport", "manager",
+            "--serial", "--label", "cli-test", "--transport", "service",
             "--output", str(out),
         ]) == 0
         capsys.readouterr()
         record = json.loads(out.read_text())["records"][0]
         assert record["parallel"] is False
         assert record["label"] == "cli-test"
-        assert record["transports"] == ["manager"]
+        assert record["transports"] == ["service"]
         assert {"git_sha", "python", "machine", "timestamp", "steps", "seed",
                 "cells"} <= set(record)
 
@@ -416,7 +418,7 @@ class TestCliEntryPoints:
         assert len(base._mask_cache) == 0
         cell = ScaleSweep(
             rows_grid=(1_000,), sessions_grid=(1,), steps=5, seed=0
-        ).run_cell(base, 1, "user-study")
+        ).run_cell(base, 1, "user-study", "service")
         # generation traffic went to base...
         assert len(base._mask_cache) > 0
         # ...so the measured single-session cell still saw cold-cache
