@@ -23,6 +23,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from typing import Any, Mapping
 
 from repro.analysis.runtime import make_rlock
@@ -56,6 +57,35 @@ CREATE TABLE IF NOT EXISTS tombstones (
 """
 
 
+#: How long a write waits behind another connection's lock.
+_BUSY_TIMEOUT_MS = 5000
+
+#: Pause between attempts to switch a contended file to WAL mode; the
+#: attempts together wait as long as the busy timeout.
+_WAL_RETRY_S = 0.01
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Put *conn*'s database in WAL mode, waiting out a concurrent writer.
+
+    While another connection holds a write lock on a file that is not
+    yet in WAL mode, the switch fails at once with "database is locked"
+    instead of queueing behind the busy timeout.  Two processes opening
+    a new store meet this when one creates the schema while the other
+    switches.  Once that write commits the file is in WAL mode and the
+    pragma succeeds, so retrying until then is enough.
+    """
+    attempts = int(_BUSY_TIMEOUT_MS / 1000 / _WAL_RETRY_S)
+    for attempt in range(attempts):
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or attempt == attempts - 1:
+                raise
+        time.sleep(_WAL_RETRY_S)
+
+
 class SqliteSessionStore(SessionStore):
     """Single-file backend; see the module docstring for the schema."""
 
@@ -75,13 +105,13 @@ class SqliteSessionStore(SessionStore):
             os.makedirs(parent, exist_ok=True)
         self._lock = make_rlock("store.sqlite")
         self._conn = sqlite3.connect(self._path, check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(f"PRAGMA synchronous={_SYNCHRONOUS[fsync]}")
         # Sharded workers open the same file from several OS processes;
         # without a busy timeout a writer that collides with another
         # process's write-lock window raises "database is locked" instead
         # of briefly queueing behind it.
-        self._conn.execute("PRAGMA busy_timeout=5000")
+        self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
+        _enable_wal(self._conn)
+        self._conn.execute(f"PRAGMA synchronous={_SYNCHRONOUS[fsync]}")
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
         for sid in self.session_ids():

@@ -2,7 +2,6 @@
 ``"$prev"`` substitution, failure policies, and idempotent replay."""
 
 import json
-import threading
 
 import pytest
 
@@ -187,23 +186,6 @@ class TestExecution:
         assert slots[1]["result"]["hypothesis"] is None
         assert slots[2]["result"]["hypothesis"]["id"] == 1
 
-    def test_unstar_resolves_prev(self, service):
-        sid = _session(service)
-        env = service.handle_dict(_pipe(
-            sid,
-            _show(sid, "education",
-                  {"op": "eq", "column": "sex", "value": "Female"}),
-            {"cmd": "star", "session_id": sid, "hypothesis_id": PREV},
-            {"cmd": "unstar", "session_id": sid, "hypothesis_id": PREV},
-        ))
-        slots = env["result"]["slots"]
-        assert [s["ok"] for s in slots] == [True] * 3
-        assert slots[2]["result"]["hypothesis"]["id"] == 1
-        assert slots[2]["result"]["hypothesis"]["starred"] is False
-        assert not service.manager.session(sid).hypothesis(1).starred
-        events = [r.event for r in service.manager.decision_log(sid)]
-        assert events == ["decision", "star", "unstar"]
-
     def test_multi_session_pipeline_fills_every_slot(self, service):
         a, b = _session(service), _session(service)
         env = service.handle_dict(_pipe(
@@ -218,61 +200,6 @@ class TestExecution:
         # isolated ledgers: both sessions spent the same wealth separately
         assert (slots[2]["result"]["wealth"]
                 == slots[3]["result"]["wealth"])
-
-
-class TestAtomicity:
-    def test_single_session_envelope_is_one_critical_section(
-        self, service, monkeypatch
-    ):
-        """A concurrent show on the same session can never interleave
-        mid-envelope: its log entry lands before or after the envelope's
-        whole block of entries.
-
-        The envelope's star meets the intruder at a barrier and then
-        gives it up to half a second to finish.  An intruder that can
-        take the session lock mid-envelope lands its show there;
-        one that cannot waits until the envelope is done.
-        """
-        sid = _session(service)
-        manager = service.manager
-        start = threading.Barrier(2, timeout=10)
-        intruder_done = threading.Event()
-        star = manager.star
-
-        def star_then_wait(session_id, hypothesis_id):
-            hyp = star(session_id, hypothesis_id)
-            start.wait()
-            intruder_done.wait(timeout=0.5)
-            return hyp
-
-        monkeypatch.setattr(manager, "star", star_then_wait)
-
-        def intruder():
-            start.wait()
-            manager.show(sid, "age", where=Eq("sex", "Male"))
-            intruder_done.set()
-
-        thread = threading.Thread(target=intruder)
-        thread.start()
-        env = service.handle_dict(_pipe(
-            sid,
-            _show(sid, "education",
-                  {"op": "eq", "column": "sex", "value": "Female"}),
-            {"cmd": "star", "session_id": sid, "hypothesis_id": PREV},
-            _show(sid, "age", {"op": "eq", "column": "sex", "value": "Female"}),
-        ))
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        slots = env["result"]["slots"]
-        assert [s["ok"] for s in slots] == [True] * 3
-        envelope_ids = {slots[0]["result"]["hypothesis"]["id"],
-                        slots[2]["result"]["hypothesis"]["id"]}
-        events = [(r.event, r.hypothesis_id) for r in manager.decision_log(sid)]
-        assert len(events) == 4
-        envelope_entries = [(e, h) for e, h in events if h in envelope_ids]
-        # the envelope's three log entries are contiguous
-        first = events.index(envelope_entries[0])
-        assert events[first:first + 3] == envelope_entries
 
 
 class TestPipelineObservability:

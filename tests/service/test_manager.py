@@ -1,10 +1,13 @@
-"""SessionManager: registry, isolation, shared caches, decision logs."""
+"""SessionManager: registry, isolation, batched dispatch, decision logs."""
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api import ExplorationService, PipelineResult
+from repro.api.protocol import predicate_to_dict
 from repro.errors import InvalidParameterError, SessionError
 from repro.exploration.engine import ThreadSafeLRUCache
 from repro.exploration.predicate import Eq
@@ -30,6 +33,24 @@ def _panel_requests(census, session_id, attribute="sex", filter_attr="occupation
 def _show_all(manager, requests):
     for session_id, attribute, where in requests:
         manager.show(session_id, attribute, where=where)
+
+
+def _dispatch(manager, requests):
+    """Send *requests* to *manager* as one ``continue`` pipeline
+    envelope; the per-request slots, in request order."""
+    commands = []
+    for session_id, attribute, where in requests:
+        command = {"cmd": "show", "session_id": session_id,
+                   "attribute": attribute}
+        if where is not None:
+            command["where"] = predicate_to_dict(where)
+        commands.append(command)
+    service = ExplorationService(manager=manager, max_sessions=None)
+    env = service.handle_dict({"v": 2, "cmd": "pipeline",
+                               "failure_policy": "continue",
+                               "commands": commands})
+    assert env["ok"], env
+    return PipelineResult(env["result"])
 
 
 class TestRegistry:
@@ -126,6 +147,71 @@ class TestIsolation:
         _show_all(manager, more)
         assert manager.decision_log(a)[: len(snapshot_a)] == snapshot_a
         assert manager.decision_log(b)[: len(snapshot_b)] == snapshot_b
+
+
+class TestDispatch:
+    """Batches reach the manager as pipeline envelopes: the service's
+    pipeline is the only code that batches commands."""
+
+    def test_responses_in_batch_order(self, manager, census):
+        a = manager.create_session("census")
+        b = manager.create_session("census")
+        reqs = []
+        for ra, rb in zip(_panel_requests(census, a), _panel_requests(census, b)):
+            reqs.extend([ra, rb])
+        results = _dispatch(manager, reqs)
+        assert results.ok and len(results) == len(reqs)
+        # slot i answers request i: its session, attribute and filter
+        answered = [
+            (r["session_id"], r["visualization"]["attribute"],
+             r["visualization"]["predicate"])
+            for r in results.results()
+        ]
+        assert answered == [
+            (sid, attribute, predicate_to_dict(where))
+            for sid, attribute, where in reqs
+        ]
+
+    def test_same_session_requests_execute_in_order(self, manager, census):
+        sid = manager.create_session("census")
+        reqs = _panel_requests(census, sid)
+        _dispatch(manager, reqs)
+        log = manager.decision_log(sid)
+        assert [r.seq for r in log] == list(range(len(log)))
+        # hypothesis ids grow with submission order within the session
+        ids = [r.hypothesis_id for r in log]
+        assert ids == sorted(ids)
+
+    def test_serial_and_parallel_dispatch_agree(self, census):
+        """One envelope for every session, or one envelope per session
+        sent from concurrent threads: the same decision logs."""
+        outcomes = []
+        for parallel in (False, True):
+            m = SessionManager()
+            ds = make_census(2_000, seed=0)
+            m.register_dataset(ds, name="census")
+            sids = [m.create_session("census") for _ in range(4)]
+            batches = [_panel_requests(ds, sid) for sid in sids]
+            if parallel:
+                with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+                    results = list(pool.map(lambda b: _dispatch(m, b), batches))
+            else:
+                results = [_dispatch(m, [r for b in batches for r in b])]
+            assert all(r.ok for r in results)
+            outcomes.append([m.decision_log_bytes(sid) for sid in sids])
+        assert outcomes[0] == outcomes[1]
+
+    def test_bad_request_yields_error_response_not_abort(self, manager, census):
+        sid = manager.create_session("census")
+        results = _dispatch(manager, [
+            (sid, "sex", None),
+            (sid, "no_such_column", None),
+            ("ghost-session", "sex", None),
+            (sid, "education", None),
+        ])
+        assert [slot["ok"] for slot in results.slots] == [True, False, False, True]
+        assert results.error(1).code == "SCHEMA"
+        assert results.error(2).code == "SESSION"
 
 
 class TestSharedCache:

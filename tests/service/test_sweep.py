@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.protocol import predicate_to_dict
+from repro.api.protocol import (
+    MAX_PIPELINE_COMMANDS,
+    command_from_dict,
+    predicate_to_dict,
+)
 from repro.errors import InvalidParameterError
 from repro.service.manager import SessionManager
 from repro.service.sweep import (
@@ -68,6 +72,22 @@ class TestGestureCompilation:
         gesture = tuple({"cmd": "show", "attribute": "a"} for _ in range(65))
         with pytest.raises(InvalidParameterError):
             _chunk_gestures([gesture], max_commands=64)
+
+    def test_envelope_bound_matches_protocol(self):
+        """By default the pipeline runner fills envelopes up to, and
+        never past, the protocol's command bound."""
+        sizes = []
+
+        class Recorder:
+            def handle_dict(self, request):
+                command_from_dict(request)  # the protocol accepts it
+                sizes.append(len(request["commands"]))
+                return {"ok": False, "error": {"code": "PROTOCOL"}}
+
+        gestures = compile_gestures([("a", None)] * (3 * MAX_PIPELINE_COMMANDS))
+        run_gestures_pipeline(Recorder(), "s1", gestures)
+        assert max(sizes) == MAX_PIPELINE_COMMANDS
+        assert sum(sizes) == sum(len(g) for g in gestures)
 
 
 class TestSweep:

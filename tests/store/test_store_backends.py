@@ -400,6 +400,29 @@ class TestTwoProcessWriters:
                     assert store.get_idem(f"{sid}-tok-{seq}") == \
                         {"ok": True, "sid": sid, "seq": seq}
 
+    def test_sqlite_open_waits_out_a_concurrent_write(self, tmp_path):
+        """Switching a new file to WAL mode fails at once, busy timeout
+        or not, while another connection holds a write lock — as a
+        second process does while it creates the schema.  Opening the
+        store must wait for that lock instead of failing."""
+        import sqlite3
+        import threading
+
+        path = tmp_path / "store.db"
+        writer = sqlite3.connect(path, isolation_level=None,
+                                 check_same_thread=False)
+        writer.execute("CREATE TABLE other (a)")
+        writer.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, writer.execute, args=("COMMIT",))
+        release.start()
+        try:
+            with make_store("sqlite", path) as store:
+                store.create("s0001", META)
+                assert store.session_ids() == ("s0001",)
+        finally:
+            release.join()
+            writer.close()
+
 
 class TestOrderEntries:
     def test_sorts_and_truncates_at_gap(self):
