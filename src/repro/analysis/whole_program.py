@@ -76,7 +76,7 @@ _SEEDABLE_CONSTRUCTORS = frozenset(
 
 #: Store/WAL mutation methods (sink receivers must look store-like).
 _WAL_METHODS = frozenset(
-    {"append", "_append_now", "stage", "register_idem", "write_snapshot"}
+    {"append", "_append_now", "stage", "register_idem", "compact"}
 )
 _WAL_RECEIVER_HINTS = ("store", "durable", "wal")
 

@@ -140,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fsync policy for the store: every commit, every "
                             "few commits, or OS-buffered only (default batch)")
     serve.add_argument("--snapshot-every", type=int, default=None, metavar="N",
-                       help="compact a session's write-ahead log into a "
-                            "snapshot every N committed commands; 0 disables "
+                       help="every N committed commands, drop the idem "
+                            "responses of a session's write-ahead entries "
+                            "older than its newest 256; 0 disables "
                             "compaction (default: the manager's "
                             "DEFAULT_SNAPSHOT_EVERY)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",

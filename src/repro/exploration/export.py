@@ -111,7 +111,7 @@ def validate_session_payload(payload) -> dict:
     """Validate a ``session_to_dict``-shaped payload; returns it as a dict.
 
     Shared by :func:`load_session_records` (archived session files) and
-    the write-ahead store's recovery path (snapshot ``export`` payloads):
+    the write-ahead store's recovery path (legacy snapshots' ``export``):
     both read the same canonical shape, so they gate on the same check.
     """
     if not isinstance(payload, Mapping):

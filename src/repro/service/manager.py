@@ -112,7 +112,9 @@ __all__ = [
 #: Default bound on retained eviction tombstones (oldest dropped first).
 DEFAULT_TOMBSTONE_LIMIT = 64
 
-#: WAL entries between store snapshots (log compaction interval).
+#: WAL entries between store compactions, each of which ages the idem
+#: responses of entries past the store's ``DEFAULT_IDEM_RETAINED`` horizon
+#: out of the log.
 DEFAULT_SNAPSHOT_EVERY = 64
 
 _AUTO_SID = re.compile(r"^s(\d+)$")
@@ -229,7 +231,7 @@ class _ManagedSession:
         self.durable = False
         #: Committed WAL entries (the next entry's ``seq``).
         self.wal_seq = 0
-        #: Entries appended since the last snapshot/compaction.
+        #: Entries appended since the last compaction.
         self.entries_since_snapshot = 0
 
 
@@ -261,8 +263,9 @@ class SessionManager:
         tombstones persist, and :meth:`recover_session` /
         :meth:`recover_all` can rebuild sessions after a crash.
     snapshot_every:
-        WAL entries between store snapshots (log compaction interval);
-        ``0`` disables compaction.
+        WAL entries between store compactions (see
+        :meth:`~repro.store.SessionStore.compact`); ``0`` disables
+        compaction.
     """
 
     def __init__(
@@ -869,8 +872,8 @@ class SessionManager:
         When the service staged this command, the append lands in the
         stage buffer and commits — together with the idem response — on
         stage exit, still under the session lock; compaction that would
-        fire mid-stage is deferred to just after that commit so the
-        snapshot never counts an uncommitted entry.
+        fire mid-stage is deferred to just after that commit so it never
+        counts an uncommitted entry.
         """
         self._store.append(managed.session_id, {
             "seq": managed.wal_seq,
@@ -888,14 +891,7 @@ class SessionManager:
             wal_seq = managed.wal_seq
 
             def compact() -> None:
-                from repro.exploration.export import session_to_dict
-
-                self._store.compact(
-                    sid,
-                    session_to_dict(managed.session),
-                    [r.to_dict() for r in managed.log],
-                    wal_seq,
-                )
+                self._store.compact(sid, wal_seq)
 
             if not self._store.defer_after_commit(sid, compact):
                 compact()
@@ -995,9 +991,9 @@ class SessionManager:
                         "resurrect a diverged session"
                     )
                 if stored.snapshot is not None:
-                    # The snapshot's export is the same canonical shape
-                    # archived session files use; gate it through the
-                    # same validation path.
+                    # A legacy snapshot's export is the same canonical
+                    # shape archived session files use; gate it through
+                    # the same validation path.
                     from repro.exploration.export import (
                         validate_session_payload,
                     )

@@ -31,22 +31,29 @@ recovery proceeds normally, minus the acknowledged tail.
 
 Compaction contract
 -------------------
-Snapshots are **command-prefix compactions**, not state checkpoints: a
-snapshot at ``applied = M`` stores the first M commands, the decision log
-and export at that point, and a bounded map of compacted idempotency
-responses; entries below M are then deleted.  Recovery therefore always
-replays from session birth (snapshot commands + tail), which keeps
-"snapshot + tail replay ≡ full-log replay" a definitional identity — the
-property suite checks it for arbitrary command streams.  Compaction runs
-under the session lock at the committed tip, so no WAL entry ever
-straddles ``applied``; if a stage is open, the manager defers compaction
-until just after the staged entry commits.
+Compaction ages idempotency responses out of the log; it is not a
+checkpoint.  A committed entry is never rewritten except to drop its
+``idem`` attachment once it is older than the newest
+:data:`~repro.store.base.DEFAULT_IDEM_RETAINED` entries of its session
+(entries with ``seq < wal_seq - DEFAULT_IDEM_RETAINED``).  When every
+entry carries a token — the stock client stamps every mutating command
+— that keeps exactly the newest 256 responses replayable; entries
+without a token count toward the horizon too.  Commands and records are
+never touched, so recovery always replays every command from session
+birth, and compaction cannot change what it rebuilds.  The manager
+compacts every ``snapshot_every`` entries, under the session lock at the
+committed tip, deferred until just after a staged entry commits.  Each
+compaction touches only the entries that crossed the horizon since the
+previous one (sqlite, memory); the jsonl backend rewrites the session's
+segments.  Stores written before this contract may hold a snapshot of a
+command prefix: it is still read, replayed and indexed, never written.
 
 Tombstones and the idempotency index ride through the same store:
 eviction persists the tombstone payload while keeping the WAL (the
 session is evicted-but-recoverable), and the token→response index is
-rebuilt from snapshots and tail entries on open, so a retried token after
-a crash replays the original response instead of re-executing the verb.
+rebuilt from the entries (and any legacy snapshot) on open, so a retried
+token after a crash replays the original response instead of
+re-executing the verb.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ One durable unit per session, three kinds of state:
   one atomic unit: either a retry replays the recorded response, or the
   command never committed and re-executing it is safe.  There is no state
   in between.
-* **snapshot** — a compaction of the entry prefix below ``applied``::
+* **legacy snapshot** — stores written before compaction aged entries
+  in place may hold one compaction of the entry prefix below ``applied``::
 
       {"snapshot_version": 1, "applied": M,
        "commands": [<cmd>, ...],          # all M compacted commands
@@ -29,10 +30,22 @@ One durable unit per session, three kinds of state:
        "export": {<session_to_dict>},     # verification artifact
        "idem": {token: envelope, ...}}    # responses from compacted entries
 
-  Recovery replays ``snapshot.commands`` followed by the tail entries —
-  the snapshot is a *command-prefix* checkpoint, not an opaque state dump,
-  so "snapshot + tail replay" is definitionally the same computation as
-  "full-log replay" and is property-tested to stay that way.
+  Nothing writes one any more, but ``load()`` still returns it: recovery
+  replays ``snapshot.commands`` followed by the tail entries, and its
+  ``idem`` map is indexed on open like the entries' attachments.
+
+Compaction
+----------
+A committed entry is never rewritten, except that :meth:`SessionStore.
+compact` drops its ``idem`` attachment once the entry is older than the
+newest :data:`DEFAULT_IDEM_RETAINED` entries of its session.  Commands
+and records are never touched, so recovery replays the same history from
+session birth whether or not compaction ran.  The horizon counts
+*entries*, not responses: an entry without a token still occupies a
+place in it.  The memory and sqlite backends read and write only the
+entries that crossed the horizon since this process last compacted the
+session (the first call after an open, a recovery or a re-create
+re-checks from seq 0); jsonl rewrites the session's segments.
 
 Tombstones and crash state
 --------------------------
@@ -73,12 +86,13 @@ __all__ = [
     "order_entries",
 ]
 
-#: Schema version of the snapshot payload.
+#: Schema version of the legacy snapshot payload (read, never written).
 SNAPSHOT_VERSION = 1
 
-#: How many idem token→response pairs a snapshot retains from the entries
-#: it compacts (newest kept).  Bounds the durable replay horizon the same
-#: way the service's in-memory LRU bounds the live one.
+#: How many of a session's newest WAL entries keep their idem attachment
+#: through compaction; older entries lose it.  Bounds the durable replay
+#: horizon the same way the service's in-memory LRU bounds the live one.
+#: Read at call time, so tests may shorten it.
 DEFAULT_IDEM_RETAINED = 256
 
 #: Bound on the store's in-memory idem index (newest kept).
@@ -171,6 +185,13 @@ class SessionStore(ABC):
         self._idem_index: dict[str, dict] = {}
         self._idem_index_lock = make_lock("store.idem-index")
         self._stage_local = threading.local()
+        #: session id -> seq below which this process has dropped every
+        #: idem attachment, read and advanced under the backend's lock.
+        #: Backends forget a session's mark on create and remove, and
+        #: recovery forgets it in :meth:`index_idem`.  A stale mark costs
+        #: a re-scan (too low) or responses kept past the horizon (too
+        #: high); it never drops a response early.
+        self._idem_aged: dict[str, int] = {}
 
     # -- staged (atomic entry + response) commits ----------------------------
 
@@ -251,7 +272,10 @@ class SessionStore(ABC):
         this after ``load()`` so a shard that just took over a session
         replays the previous owner's recorded responses instead of
         re-executing (and double-spending α-wealth on) a retried token.
+        Another process may have re-created the session since this one
+        last compacted it, so its next compaction re-checks from seq 0.
         """
+        self._idem_aged.pop(stored.session_id, None)
         self._index_idem_from(stored.snapshot, stored.entries)
 
     def _index_idem_from(
@@ -268,50 +292,16 @@ class SessionStore(ABC):
 
     # -- compaction ----------------------------------------------------------
 
-    def compact(
-        self,
-        session_id: str,
-        export: Mapping[str, Any],
-        records: list[dict],
-        wal_seq: int,
-    ) -> None:
-        """Fold every committed entry below *wal_seq* into a snapshot.
+    def compact(self, session_id: str, wal_seq: int) -> None:
+        """Drop the idem attachment of every entry older than the horizon.
 
-        *export* and *records* must describe the session exactly at
-        ``seq == wal_seq`` (the manager calls this under the session lock,
-        right after the append that crossed the snapshot interval).  Idem
-        responses from the compacted entries are carried into the
-        snapshot's bounded ``idem`` map so the durable replay horizon
-        survives compaction.
+        Entries with ``seq < wal_seq - DEFAULT_IDEM_RETAINED`` lose their
+        ``idem``; commands, records and the tip are untouched (see the
+        module docstring for what each backend reads and writes).
+        Raises :class:`~repro.errors.StoreError` for an unknown session
+        or a *wal_seq* past the committed tip.
         """
-        stored = self.load(session_id)
-        if stored is None:
-            raise StoreError(f"cannot compact unknown session {session_id!r}")
-        if wal_seq > stored.wal_seq:
-            raise StoreError(
-                f"compaction of {session_id!r} up to seq {wal_seq} exceeds "
-                f"the committed tip {stored.wal_seq}"
-            )
-        commands = stored.commands()[:wal_seq]
-        idem: dict[str, dict] = dict(
-            (stored.snapshot or {}).get("idem") or {}
-        )
-        for entry in stored.entries:
-            if entry["seq"] >= wal_seq:
-                break
-            attachment = entry.get("idem")
-            if attachment and attachment.get("response") is not None:
-                idem[attachment["token"]] = dict(attachment["response"])
-        while len(idem) > DEFAULT_IDEM_RETAINED:
-            idem.pop(next(iter(idem)))
-        self.write_snapshot(session_id, {
-            "snapshot_version": SNAPSHOT_VERSION,
-            "applied": wal_seq,
-            "commands": commands,
-            "records": list(records),
-            "export": dict(export),
-            "idem": idem,
-        })
+        self._drop_idem(session_id, wal_seq - DEFAULT_IDEM_RETAINED, wal_seq)
 
     # -- backend primitives --------------------------------------------------
 
@@ -325,8 +315,11 @@ class SessionStore(ABC):
         """Commit one WAL entry (already past any stage buffering)."""
 
     @abstractmethod
-    def write_snapshot(self, session_id: str, snapshot: dict) -> None:
-        """Atomically replace the snapshot; drop entries below ``applied``."""
+    def _drop_idem(self, session_id: str, horizon: int, wal_seq: int) -> None:
+        """Under the backend's lock: check that the session exists and
+        that *wal_seq* does not pass its committed tip, drop ``idem``
+        from each entry with ``_idem_aged[session_id] <= seq < horizon``,
+        then advance that mark to *horizon*."""
 
     @abstractmethod
     def remove(self, session_id: str) -> None:

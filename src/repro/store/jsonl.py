@@ -3,17 +3,23 @@
 Layout (one directory per session under the store root)::
 
     <root>/sessions/<sid>/meta.json        # create_session parameters
-    <root>/sessions/<sid>/snapshot.json    # compacted command prefix
+    <root>/sessions/<sid>/snapshot.json    # legacy compaction, read only
     <root>/sessions/<sid>/wal-00000007.jsonl   # entries from seq 7 upward
     <root>/sessions/<sid>/tombstone.json   # present iff evicted
 
-Whole-file JSON documents are written via temp-file + ``os.replace`` so a
-crash leaves either the old or the new document, never a torn one.  WAL
-appends are a single ``json.dumps`` line followed by ``flush()`` always
-and ``fsync()`` per the configured policy — ``"always"`` (every entry),
-``"batch"`` (every :data:`FSYNC_BATCH` entries and on snapshot/close), or
-``"off"`` (never; the OS page cache still survives a SIGKILL, only a
+Whole files — JSON documents and compacted segments — are written via
+temp-file + ``os.replace`` so a crash leaves either the old or the new
+file, never a torn one; unless the policy is ``"off"`` the temp file is
+fsynced before the replace and its directory after it.  WAL appends are
+a single ``json.dumps`` line followed by ``flush()`` always and
+``fsync()`` per the configured policy — ``"always"`` (every entry),
+``"batch"`` (every :data:`FSYNC_BATCH` entries and on compaction/close),
+or ``"off"`` (never; the OS page cache still survives a SIGKILL, only a
 machine crash can lose acknowledged entries).
+
+Compaction rewrites a session's segments with the aged ``idem``
+attachments dropped and every other line copied verbatim, so it costs
+I/O in proportion to the session, not to the compaction interval.
 
 Loading tolerates a truncated or corrupt trailing line by discarding it
 and everything after: appends are sequential, so damage can only be the
@@ -48,13 +54,31 @@ _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".jsonl"
 
 
-def _write_document(path: Path, payload: Mapping[str, Any]) -> None:
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _replace_file(path: Path, text: str, fsync: bool) -> None:
+    """Atomically replace *path* with *text*; durably when *fsync*."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if fsync:
+            fh.flush()
+            os.fsync(fh.fileno())
     os.replace(tmp, path)
+    if fsync:
+        _fsync_dir(path.parent)
+
+
+def _write_document(path: Path, payload: Mapping[str, Any], fsync: bool) -> None:
+    _replace_file(
+        path, json.dumps(payload, sort_keys=True, indent=2) + "\n", fsync
+    )
 
 
 def _read_document(path: Path) -> dict | None:
@@ -152,7 +176,10 @@ class JsonlSessionStore(SessionStore):
             if sid_dir.exists():
                 shutil.rmtree(sid_dir)
             sid_dir.mkdir(parents=True)
-            _write_document(sid_dir / _META, meta)
+            self._idem_aged.pop(session_id, None)
+            _write_document(sid_dir / _META, meta, self._fsync != "off")
+            if self._fsync != "off":
+                _fsync_dir(self._sessions_dir)
 
     def _append_now(self, session_id: str, entry: dict) -> None:
         with self._lock:
@@ -171,6 +198,8 @@ class JsonlSessionStore(SessionStore):
                     start = int(snapshot["applied"]) if snapshot else 0
                     path = sid_dir / f"{_WAL_PREFIX}{start:08d}{_WAL_SUFFIX}"
                 handle = open(path, "a", encoding="utf-8")  # noqa: SIM115 - long-lived append handle, closed by close()/stop
+                if not segments and self._fsync != "off":
+                    _fsync_dir(sid_dir)  # the new segment's name
                 self._segments[session_id] = handle
                 self._unsynced[session_id] = 0
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -183,39 +212,55 @@ class JsonlSessionStore(SessionStore):
                     os.fsync(handle.fileno())
                     self._unsynced[session_id] = 0
 
-    def write_snapshot(self, session_id: str, snapshot: dict) -> None:
+    def _drop_idem(self, session_id: str, horizon: int, wal_seq: int) -> None:
         with self._lock:
             sid_dir = self._dir(session_id)
-            if not sid_dir.is_dir():
+            if not (sid_dir / _META).exists():
                 raise StoreError(
-                    f"cannot snapshot unknown session {session_id!r}"
+                    f"cannot compact unknown session {session_id!r}"
                 )
-            self._close_segment(session_id)
-            applied = int(snapshot["applied"])
-            survivors = [
-                entry
-                for entry in self._read_entries(session_id)
-                if isinstance(entry.get("seq"), int)
-                and entry["seq"] >= applied
-            ]
-            _write_document(sid_dir / _SNAPSHOT, snapshot)
-            for segment in self._segment_paths(session_id):
-                segment.unlink()
-            if survivors:
-                # Compaction below the tip: the uncompacted tail is
-                # rewritten into the fresh post-snapshot segment.
-                path = sid_dir / f"{_WAL_PREFIX}{applied:08d}{_WAL_SUFFIX}"
-                with open(path, "w", encoding="utf-8") as fh:
-                    for entry in survivors:
-                        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                    fh.flush()
-                    if self._fsync != "off":
-                        os.fsync(fh.fileno())
-            # The next append opens (or extends) wal-<applied>.jsonl.
+            start = self._idem_aged.get(session_id, 0)
+            tip = 0
+            rewrites: list[tuple[Path, list[str]]] = []
+            for path in self._segment_paths(session_id):
+                with open(path, encoding="utf-8") as fh:
+                    lines = fh.readlines()
+                changed = False
+                for i, line in enumerate(lines):
+                    try:
+                        entry = json.loads(line)
+                    except ValueError:
+                        continue  # a torn line is copied as it is
+                    seq = entry.get("seq") if isinstance(entry, dict) else None
+                    if not isinstance(seq, int):
+                        continue
+                    tip = max(tip, seq + 1)
+                    if start <= seq < horizon and "idem" in entry:
+                        del entry["idem"]
+                        lines[i] = json.dumps(entry, sort_keys=True) + "\n"
+                        changed = True
+                if changed:
+                    rewrites.append((path, lines))
+            if not tip:
+                # No tail: a legacy snapshot, if any, ends at the tip.
+                snapshot = _read_document(sid_dir / _SNAPSHOT)
+                tip = int(snapshot["applied"]) if snapshot else 0
+            if wal_seq > tip:
+                raise StoreError(
+                    f"compaction of {session_id!r} up to seq {wal_seq} "
+                    f"exceeds the committed tip {tip}"
+                )
+            if rewrites:
+                # The append handle would keep writing the replaced file.
+                self._close_segment(session_id)
+            for path, lines in rewrites:
+                _replace_file(path, "".join(lines), self._fsync != "off")
+            self._idem_aged[session_id] = max(start, horizon)
 
     def remove(self, session_id: str) -> None:
         with self._lock:
             self._close_segment(session_id)
+            self._idem_aged.pop(session_id, None)
             sid_dir = self._dir(session_id)
             if sid_dir.exists():
                 shutil.rmtree(sid_dir)
@@ -228,7 +273,9 @@ class JsonlSessionStore(SessionStore):
                     f"cannot tombstone unknown session {session_id!r}"
                 )
             self._close_segment(session_id)
-            _write_document(sid_dir / _TOMBSTONE, payload)
+            _write_document(
+                sid_dir / _TOMBSTONE, payload, self._fsync != "off"
+            )
 
     def clear_tombstone(self, session_id: str) -> None:
         with self._lock:

@@ -4,7 +4,8 @@ Implements the full :class:`~repro.store.base.SessionStore` contract with
 plain dicts — no durability, but identical semantics (staged commits,
 compaction, tombstones, the idem index), which makes it the oracle the
 real backends are tested against and a cheap substrate for hypothesis
-property tests.
+property tests.  Nothing it holds predates compaction in place, so it
+never holds a legacy snapshot.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class MemorySessionStore(SessionStore):
         self._lock = make_rlock("store.memory")
         self._meta: dict[str, dict] = {}
         self._entries: dict[str, list[dict]] = {}
-        self._snapshots: dict[str, dict] = {}
         self._tombstones: dict[str, dict] = {}
 
     def create(self, session_id: str, meta: Mapping[str, Any]) -> None:
@@ -53,25 +53,32 @@ class MemorySessionStore(SessionStore):
                 )
             self._entries[session_id].append(_roundtrip(entry))
 
-    def write_snapshot(self, session_id: str, snapshot: dict) -> None:
+    def _drop_idem(self, session_id: str, horizon: int, wal_seq: int) -> None:
         with self._lock:
-            if session_id not in self._meta:
+            entries = self._entries.get(session_id)
+            if entries is None:
                 raise StoreError(
-                    f"cannot snapshot unknown session {session_id!r}"
+                    f"cannot compact unknown session {session_id!r}"
                 )
-            snapshot = _roundtrip(snapshot)
-            applied = int(snapshot["applied"])
-            self._snapshots[session_id] = snapshot
-            self._entries[session_id] = [
-                e for e in self._entries[session_id] if e["seq"] >= applied
-            ]
+            if wal_seq > len(entries):
+                raise StoreError(
+                    f"compaction of {session_id!r} up to seq {wal_seq} "
+                    f"exceeds the committed tip {len(entries)}"
+                )
+            start = self._idem_aged.get(session_id, 0)
+            stop = max(start, horizon)
+            # Appends arrive in seq order from 0, so an entry's index is
+            # its seq.
+            for entry in entries[start:stop]:
+                entry.pop("idem", None)
+            self._idem_aged[session_id] = stop
 
     def remove(self, session_id: str) -> None:
         with self._lock:
             self._meta.pop(session_id, None)
             self._entries.pop(session_id, None)
-            self._snapshots.pop(session_id, None)
             self._tombstones.pop(session_id, None)
+            self._idem_aged.pop(session_id, None)
 
     def set_tombstone(self, session_id: str, payload: Mapping[str, Any]) -> None:
         with self._lock:
@@ -94,14 +101,12 @@ class MemorySessionStore(SessionStore):
             meta = self._meta.get(session_id)
             if meta is None:
                 return None
-            snapshot = self._snapshots.get(session_id)
-            applied = int(snapshot["applied"]) if snapshot else 0
-            entries = order_entries(applied, self._entries[session_id])
+            entries = order_entries(0, self._entries[session_id])
             tombstone = self._tombstones.get(session_id)
             return StoredSession(
                 session_id=session_id,
                 meta=dict(meta),
-                snapshot=dict(snapshot) if snapshot else None,
+                snapshot=None,
                 entries=entries,
                 tombstone=dict(tombstone) if tombstone else None,
             )

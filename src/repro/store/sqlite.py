@@ -4,7 +4,7 @@ One database file holds every session::
 
     sessions(session_id PRIMARY KEY, meta)        -- JSON
     wal(session_id, seq, entry, PRIMARY KEY(session_id, seq))
-    snapshots(session_id PRIMARY KEY, snapshot)   -- JSON
+    snapshots(session_id PRIMARY KEY, snapshot)   -- JSON, legacy: read only
     tombstones(session_id PRIMARY KEY, payload)   -- JSON
 
 ``PRAGMA journal_mode=WAL`` gives atomic commits without blocking
@@ -15,6 +15,12 @@ A single connection guarded by a lock serves all threads: the write
 path is already serialized per session by the manager's session lock,
 and cross-session contention on a local file is negligible at this
 scale.
+
+Compaction re-encodes only the rows that crossed the idem horizon, with
+the append path's own codec.  SQLite's ``json_remove`` would be faster,
+but it rejects the ``NaN`` and ``Infinity`` literals ``json.dumps``
+writes (a committed ``Not(Eq("age", nan))`` show holds one), so it
+cannot edit every row the append path can produce.
 """
 
 from __future__ import annotations
@@ -130,6 +136,7 @@ class SqliteSessionStore(SessionStore):
             self._conn.execute(
                 f"DELETE FROM {table} WHERE session_id = ?", (session_id,)
             )
+        self._idem_aged.pop(session_id, None)
 
     # -- SessionStore primitives ---------------------------------------------
 
@@ -155,22 +162,56 @@ class SqliteSessionStore(SessionStore):
             )
             self._conn.commit()
 
-    def write_snapshot(self, session_id: str, snapshot: dict) -> None:
+    def _tip(self, session_id: str) -> int:
+        row = self._conn.execute(
+            "SELECT MAX(seq) FROM wal WHERE session_id = ?", (session_id,)
+        ).fetchone()
+        if row[0] is not None:
+            return row[0] + 1
+        # No tail: a legacy snapshot, if any, ends at the tip.
+        row = self._conn.execute(
+            "SELECT snapshot FROM snapshots WHERE session_id = ?",
+            (session_id,),
+        ).fetchone()
+        return int(json.loads(row[0])["applied"]) if row else 0
+
+    def _drop_idem(self, session_id: str, horizon: int, wal_seq: int) -> None:
         with self._lock:
             if not self._exists(session_id):
                 raise StoreError(
-                    f"cannot snapshot unknown session {session_id!r}"
+                    f"cannot compact unknown session {session_id!r}"
                 )
-            self._conn.execute(
-                "INSERT OR REPLACE INTO snapshots (session_id, snapshot) "
-                "VALUES (?, ?)",
-                (session_id, json.dumps(snapshot, sort_keys=True)),
-            )
-            self._conn.execute(
-                "DELETE FROM wal WHERE session_id = ? AND seq < ?",
-                (session_id, int(snapshot["applied"])),
-            )
-            self._conn.commit()
+            tip = self._tip(session_id)
+            if wal_seq > tip:
+                raise StoreError(
+                    f"compaction of {session_id!r} up to seq {wal_seq} "
+                    f"exceeds the committed tip {tip}"
+                )
+            start = self._idem_aged.get(session_id, 0)
+            rows = self._conn.execute(
+                "SELECT seq, entry FROM wal WHERE session_id = ? "
+                "AND seq >= ? AND seq < ? AND instr(entry, '\"idem\"') > 0",
+                (session_id, start, horizon),
+            ).fetchall()
+            stripped = []
+            for seq, text in rows:
+                entry = json.loads(text)
+                if entry.pop("idem", None) is not None:
+                    stripped.append(
+                        (session_id, seq, json.dumps(entry, sort_keys=True))
+                    )
+            if stripped:
+                # REPLACE re-inserts each row at the end of the table
+                # instead of shrinking it in place, so the pages the old
+                # rows filled empty out and are reused, rather than each
+                # keeping the freed response as a hole.
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO wal (session_id, seq, entry) "
+                    "VALUES (?, ?, ?)",
+                    stripped,
+                )
+                self._conn.commit()
+            self._idem_aged[session_id] = max(start, horizon)
 
     def remove(self, session_id: str) -> None:
         with self._lock:

@@ -26,6 +26,7 @@ import pytest
 from repro.api.client import Client
 from repro.api.service import ExplorationService
 from repro.service import SessionManager
+from repro.store import DEFAULT_IDEM_RETAINED, make_store
 from repro.workloads.census import make_census
 
 ROWS = 2_000
@@ -173,3 +174,70 @@ def test_kill9_preserves_acknowledged_prefix(backend, tmp_path):
         proc.wait(timeout=30)
 
     assert after == before
+
+
+#: Pipelines sent before the SIGKILL in the long-session case: three
+#: mutating commands each, so the session runs past the idem horizon and
+#: every compaction from there on ages responses out of the log.
+LONG_PIPELINES = DEFAULT_IDEM_RETAINED // 3 + 8
+
+
+def _pipeline(sid: str, i: int) -> dict:
+    """An idem-stamped show → star → show envelope on planted effects."""
+    return {"v": 2, "cmd": "pipeline", "commands": [
+        {"cmd": "show", "session_id": sid, "attribute": "salary_over_50k",
+         "where": WHERE_F, "idem": f"p{i}-show"},
+        {"cmd": "star", "session_id": sid, "hypothesis_id": "$prev",
+         "idem": f"p{i}-star"},
+        {"cmd": "show", "session_id": sid, "attribute": "hours_per_week",
+         "where": WHERE_F, "idem": f"p{i}-hours"},
+    ]}
+
+
+def _serial_pipelines(n: int) -> bytes:
+    """The same *n* pipelines against an in-process, store-less service."""
+    service = ExplorationService(manager=SessionManager(), max_sessions=4)
+    service.register_dataset(make_census(ROWS, seed=SEED), name="census")
+    sid = service.handle_dict({"v": 2, "cmd": "create_session",
+                               "dataset": "census"})["result"]["session_id"]
+    for i in range(n):
+        assert service.handle_dict(_pipeline(sid, i))["ok"]
+    log = service.handle_dict({"v": 2, "cmd": "decision_log",
+                               "session_id": sid})
+    return json.dumps(log["result"], sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+def test_kill9_past_the_idem_horizon(backend, tmp_path):
+    """More than ``DEFAULT_IDEM_RETAINED`` commands, compacted every 3,
+    then SIGKILL: the recovered log is the serial one, and the last
+    acknowledged pipeline — inside the horizon — replays rather than
+    re-executes."""
+    store_path = tmp_path / ("store" if backend == "jsonl" else "store.db")
+    proc, port = _spawn_server(backend, store_path)
+    try:
+        with Client(port=port) as client:
+            sid = client.create_session("census")
+            for i in range(LONG_PIPELINES):
+                last = client.call(_pipeline(sid, i))
+                assert all(slot["ok"] for slot in last["slots"]), last
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+
+        proc, port = _spawn_server(backend, store_path)
+        with Client(port=port) as client:
+            recovered = _decision_log(client, sid)
+            replay = client.call(_pipeline(sid, LONG_PIPELINES - 1))
+            after = _decision_log(client, sid)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+
+    assert recovered == _serial_pipelines(LONG_PIPELINES)
+    assert replay == last
+    assert after == recovered
+    # The server did age the oldest responses out of the log.
+    with make_store(backend, store_path) as store:
+        entries = store.load(sid).entries
+    assert len(entries) == 3 * LONG_PIPELINES > DEFAULT_IDEM_RETAINED
+    assert "idem" not in entries[0] and "idem" in entries[-1]

@@ -93,7 +93,7 @@ def test_sigkill_worker_mid_gesture_idem_retry_spends_once(
         ))["session_id"]
 
         # A first full gesture, so the crash lands on a session with
-        # history (snapshots + appends in the store, not just a create).
+        # history (compacted appends in the store, not just a create).
         view = _ok(router.handle_dict(
             {"v": 2, "cmd": "show", "session_id": sid,
              "attribute": "education", "where": WHERE_F}

@@ -1,29 +1,37 @@
 """Property: compaction never changes what a recovery replays.
 
-The snapshot is a *command-prefix* checkpoint, so "snapshot + tail
-replay" must be the same computation as "full-log replay" — for any
-command stream, any snapshot interval, and any compaction point.  Two
-layers pin this down:
+Compaction only ages idem responses out of entries past the replay
+horizon, so recovery must replay the same commands and rebuild the same
+decision log whatever the compaction interval and compaction points.
+Two layers pin this down:
 
-* store-level — for random entry streams and a random compaction point,
+* store-level — for random entry streams and random compaction points,
   :meth:`StoredSession.commands` / ``records`` are invariant under
-  :meth:`SessionStore.compact`;
-* manager-level — a random exploration workload recorded under any
-  ``snapshot_every`` recovers into a fresh manager with a byte-identical
-  decision log, equal to the log recovered under ``snapshot_every=0``
-  (never compact) from an identical run.
+  :meth:`SessionStore.compact`, and exactly the entries older than the
+  horizon lose their response;
+* manager-level — a random idem-stamped exploration workload recorded
+  under any ``snapshot_every`` recovers into a fresh manager with a
+  byte-identical decision log, equal to the log recovered under
+  ``snapshot_every=0`` (never compact) from an identical run.
+
+Both run with a horizon of :data:`HORIZON` entries instead of the
+default 256, so these short streams actually cross it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Eq, Not
 from repro.service import SessionManager
-from repro.store import MemorySessionStore
+from repro.store import MemorySessionStore, base
+
+#: The idem horizon these properties run under.
+HORIZON = 3
 
 _COLORS = ("red", "blue", "green")
 _SHAPES = ("circle", "square", "triangle")
@@ -47,6 +55,13 @@ def _build_dataset() -> Dataset:
 _BASE = _build_dataset()
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _short_idem_horizon():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(base, "DEFAULT_IDEM_RETAINED", HORIZON)
+        yield
+
+
 # -- store-level: compaction is replay-invariant -----------------------------
 
 def _entry(seq: int, with_idem: bool) -> dict:
@@ -65,36 +80,37 @@ def _entry(seq: int, with_idem: bool) -> dict:
 def entry_stream(draw):
     n = draw(st.integers(min_value=0, max_value=24))
     flags = [draw(st.booleans()) for _ in range(n)]
-    cut = draw(st.integers(min_value=0, max_value=n))
-    return [_entry(i, f) for i, f in enumerate(flags)], cut
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=n),
+                         min_size=1, max_size=3))
+    return [_entry(i, f) for i, f in enumerate(flags)], sorted(cuts)
 
 
 class TestStoreCompactionInvariance:
     @settings(max_examples=60, deadline=None)
     @given(entry_stream())
     def test_compact_preserves_commands_and_records(self, case):
-        entries, cut = case
+        entries, cuts = case
         store = MemorySessionStore()
         store.create("s", {"session_id": "s"})
         for entry in entries:
             store.append("s", entry)
         before = store.load("s")
-        store.compact("s", {"k": "v"}, before.records()[: sum(
-            len(e["records"]) for e in entries[:cut])], cut)
+        for cut in cuts:
+            store.compact("s", cut)
         after = store.load("s")
         assert after.commands() == before.commands()
         assert after.records() == before.records()
-        assert after.applied == cut
         assert after.wal_seq == before.wal_seq
-        # the idem horizon of compacted entries survives in the snapshot
-        for entry in entries[:cut]:
-            if "idem" in entry:
-                token = entry["idem"]["token"]
-                assert after.snapshot["idem"][token] == \
-                    entry["idem"]["response"]
+        # exactly the entries older than the horizon lost their response
+        horizon = cuts[-1] - HORIZON
+        for entry, kept in zip(entries, after.entries):
+            if "idem" in entry and entry["seq"] >= horizon:
+                assert kept["idem"] == entry["idem"]
+            else:
+                assert "idem" not in kept
 
 
-# -- manager-level: snapshot interval is replay-invariant --------------------
+# -- manager-level: compaction interval is replay-invariant ------------------
 
 @st.composite
 def exploration(draw):
@@ -118,7 +134,11 @@ def exploration(draw):
 
 
 def _run_workload(steps, snapshot_every: int):
-    """Execute *steps*, then crash-recover into a fresh manager."""
+    """Execute *steps*, then crash-recover into a fresh manager.
+
+    Every verb is staged with an idem token, as the service stages a
+    stamped command, so its entry carries a response to age out.
+    """
     store = MemorySessionStore()
     dataset = _BASE.select_index(
         np.arange(_BASE.n_rows, dtype=np.intp), name="run"
@@ -127,18 +147,21 @@ def _run_workload(steps, snapshot_every: int):
     manager.register_dataset(dataset, name="d")
     sid = manager.create_session("d")
     last_hyp = None
-    for step in steps:
-        if step[0] == "show":
-            view = manager.show(sid, step[1], where=step[2])
-            if view.hypothesis is not None:
-                last_hyp = view.hypothesis.hypothesis_id
-        elif step[0] == "star" and last_hyp is not None:
-            manager.star(sid, last_hyp)
-        elif step[0] == "unstar" and last_hyp is not None:
-            manager.unstar(sid, last_hyp)
-        elif step[0] == "delete" and last_hyp is not None:
-            manager.delete_hypothesis(sid, last_hyp)
-            last_hyp = None
+    for i, step in enumerate(steps):
+        with manager.session_lock(sid), \
+                store.stage(sid, f"tok-{i}") as staged:
+            staged.set_response({"ok": True, "step": i})
+            if step[0] == "show":
+                view = manager.show(sid, step[1], where=step[2])
+                if view.hypothesis is not None:
+                    last_hyp = view.hypothesis.hypothesis_id
+            elif step[0] == "star" and last_hyp is not None:
+                manager.star(sid, last_hyp)
+            elif step[0] == "unstar" and last_hyp is not None:
+                manager.unstar(sid, last_hyp)
+            elif step[0] == "delete" and last_hyp is not None:
+                manager.delete_hypothesis(sid, last_hyp)
+                last_hyp = None
     live = manager.decision_log_bytes(sid)
     fresh = SessionManager(store=store)
     fresh.register_dataset(dataset, name="d")
@@ -150,8 +173,8 @@ class TestRecoveryReplayInvariance:
     @settings(max_examples=15, deadline=None)
     @given(exploration(), st.sampled_from([1, 2, 5]))
     def test_snapshot_tail_equals_full_log_replay(self, steps, every):
-        """Recovery through snapshot+tail (compaction on) and through the
-        full log (compaction off) both rebuild the live session's exact
+        """Recovery of a log compacted every *every* entries and of a
+        log never compacted both rebuild the live session's exact
         decision log."""
         live_full, recovered_full = _run_workload(steps, snapshot_every=0)
         live_snap, recovered_snap = _run_workload(steps, snapshot_every=every)

@@ -15,6 +15,7 @@ serial-vs-threaded and PR 4's serial-vs-pipelined equivalences.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,7 +243,17 @@ class TestTransportEquivalence:
 
 
 class TestStoreEquivalence:
-    """The write-ahead store must be decision-invisible and lossless."""
+    """The write-ahead store must be decision-invisible and lossless,
+    with compaction crossing a 2-entry idem horizon on these short
+    streams (the default 256 is never reached)."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _short_idem_horizon(self):
+        from repro.store import base
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base, "DEFAULT_IDEM_RETAINED", 2)
+            yield
 
     @settings(max_examples=10, deadline=None)
     @given(workload(), st.sampled_from([0, 2]))

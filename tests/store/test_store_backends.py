@@ -3,8 +3,9 @@
 Every backend — the dict-backed in-memory oracle, the fsync-batched
 jsonl segment files, and the WAL-mode sqlite database — must satisfy
 the same :class:`repro.store.SessionStore` contract: ordered tails,
-atomic staged commits, prefix compaction that preserves the idem replay
-horizon, tombstone routing, and supersede-on-recreate.  The jsonl
+atomic staged commits, compaction that ages idem responses out of
+entries past the replay horizon and touches nothing else, tombstone
+routing, and supersede-on-recreate.  The jsonl
 backend additionally tolerates torn trailing lines (a SIGKILL mid-write
 loses at most the unacknowledged entry) and both disk backends must
 answer identically after a close-and-reopen, which is the crash model
@@ -20,10 +21,10 @@ import pytest
 from repro.errors import StoreError
 from repro.store import (
     DEFAULT_IDEM_RETAINED,
-    SNAPSHOT_VERSION,
     MemorySessionStore,
     make_store,
 )
+from repro.store import base
 from repro.store.base import order_entries
 
 BACKENDS = ("memory", "jsonl", "sqlite")
@@ -184,7 +185,15 @@ class TestStagedCommits:
         assert store.defer_after_commit("s0001", lambda: None) is False
 
 
+def _tokens(stored) -> list[str]:
+    """Tokens whose responses *stored*'s entries still carry."""
+    return [e["idem"]["token"] for e in stored.entries if "idem" in e]
+
+
 class TestCompaction:
+    """``compact`` drops the idem attachment of every entry older than
+    the newest ``DEFAULT_IDEM_RETAINED`` and leaves everything else."""
+
     def _seed(self, store, n: int = 5) -> None:
         store.create("s0001", META)
         for seq in range(n):
@@ -192,34 +201,52 @@ class TestCompaction:
                 store.append("s0001", _entry(seq))
                 staged.set_response({"ok": True, "seq": seq})
 
-    def test_compact_folds_prefix_and_keeps_tail(self, store):
+    def test_compact_folds_prefix_and_keeps_tail(self, store, monkeypatch):
+        """Entries below the horizon lose their response; commands,
+        records and the tip are unchanged."""
+        monkeypatch.setattr(base, "DEFAULT_IDEM_RETAINED", 2)
         self._seed(store, 5)
         full = store.load("s0001")
-        store.compact("s0001", {"schema_version": 1}, full.records()[:3], 3)
+        store.compact("s0001", 5)
         stored = store.load("s0001")
-        assert stored.snapshot["snapshot_version"] == SNAPSHOT_VERSION
-        assert stored.applied == 3
-        assert [e["seq"] for e in stored.entries] == [3, 4]
-        # snapshot prefix + tail must replay the same command history
+        assert stored.snapshot is None
+        assert _tokens(stored) == ["tok-3", "tok-4"]
         assert stored.commands() == full.commands()
         assert stored.records() == full.records()
+        assert stored.wal_seq == full.wal_seq == 5
+        assert [
+            {k: v for k, v in e.items() if k != "idem"} for e in stored.entries
+        ] == [
+            {k: v for k, v in e.items() if k != "idem"} for e in full.entries
+        ]
 
-    def test_compact_carries_idem_horizon(self, store):
-        self._seed(store, 4)
-        store.compact("s0001", {}, store.load("s0001").records(), 4)
-        assert store.load("s0001").snapshot["idem"] == {
-            f"tok-{s}": {"ok": True, "seq": s} for s in range(4)
+    def test_compact_carries_idem_horizon(self, store, monkeypatch):
+        """The horizon is counted back from the compaction point, so the
+        uncompacted tail keeps its responses too."""
+        monkeypatch.setattr(base, "DEFAULT_IDEM_RETAINED", 2)
+        self._seed(store, 6)
+        store.compact("s0001", 4)
+        assert _tokens(store.load("s0001")) == [
+            "tok-2", "tok-3", "tok-4", "tok-5"
+        ]
+        assert store.load("s0001").entries[2]["idem"] == {
+            "token": "tok-2", "response": {"ok": True, "seq": 2}
         }
 
-    def test_compact_twice_merges_snapshot_idem(self, store):
-        self._seed(store, 3)
-        store.compact("s0001", {}, store.load("s0001").records(), 2)
-        with store.stage("s0001", "tok-late") as staged:
-            store.append("s0001", _entry(3))
-            staged.set_response({"ok": True, "seq": 3})
-        store.compact("s0001", {}, store.load("s0001").records(), 4)
-        tokens = set(store.load("s0001").snapshot["idem"])
-        assert tokens == {"tok-0", "tok-1", "tok-2", "tok-late"}
+    def test_compact_twice_merges_snapshot_idem(self, store, monkeypatch):
+        """Compacting in steps leaves what one compaction at the last
+        tip leaves, entries without a token included."""
+        monkeypatch.setattr(base, "DEFAULT_IDEM_RETAINED", 3)
+        self._seed(store, 4)
+        store.compact("s0001", 4)
+        store.append("s0001", _entry(4))  # no token: still counts
+        with store.stage("s0001", "tok-5") as staged:
+            store.append("s0001", _entry(5))
+            staged.set_response({"ok": True, "seq": 5})
+        store.compact("s0001", 6)
+        assert _tokens(store.load("s0001")) == ["tok-3", "tok-5"]
+        store.compact("s0001", 6)  # nothing newly crossed: a no-op
+        assert _tokens(store.load("s0001")) == ["tok-3", "tok-5"]
 
     def test_compact_bounds_retained_idem(self, store):
         store.create("s0001", META)
@@ -229,18 +256,50 @@ class TestCompaction:
                 store.append("s0001", {"seq": seq, "cmd": {"cmd": "star"},
                                        "records": []})
                 staged.set_response({"seq": seq})
-        store.compact("s0001", {}, [], n)
-        assert len(store.load("s0001").snapshot["idem"]) == \
-            DEFAULT_IDEM_RETAINED
+        store.compact("s0001", n)
+        assert _tokens(store.load("s0001")) == [
+            f"tok-{seq}" for seq in range(16, n)
+        ]
 
     def test_compact_past_tip_rejected(self, store):
         self._seed(store, 2)
         with pytest.raises(StoreError):
-            store.compact("s0001", {}, [], 7)
+            store.compact("s0001", 7)
 
     def test_compact_unknown_session_rejected(self, store):
         with pytest.raises(StoreError):
-            store.compact("ghost", {}, [], 0)
+            store.compact("ghost", 0)
+
+    def test_recreate_restarts_the_horizon(self, store, monkeypatch):
+        """A re-created id's old compaction progress does not carry over:
+        its new entries age from seq 0."""
+        monkeypatch.setattr(base, "DEFAULT_IDEM_RETAINED", 1)
+        self._seed(store, 4)
+        store.compact("s0001", 4)
+        self._seed(store, 3)
+        store.compact("s0001", 3)
+        assert _tokens(store.load("s0001")) == ["tok-2"]
+
+    def test_non_finite_literals_survive_compaction(self, store,
+                                                    monkeypatch):
+        """``json.dumps`` writes NaN and Infinity for non-finite floats —
+        a committed ``Not(Eq("age", nan))`` show holds one — and
+        compaction must rewrite such an entry like any other."""
+        monkeypatch.setattr(base, "DEFAULT_IDEM_RETAINED", 0)
+        store.create("s0001", META)
+        where = {"op": "not", "operand": {"op": "eq", "column": "age",
+                                          "value": float("nan")}}
+        with store.stage("s0001", "tok-0") as staged:
+            store.append("s0001", {"seq": 0, "records": [],
+                                   "cmd": {"cmd": "show", "where": where,
+                                           "hi": float("inf")}})
+            staged.set_response({"ok": True})
+        store.compact("s0001", 1)
+        (entry,) = store.load("s0001").entries
+        assert "idem" not in entry
+        assert json.dumps(entry["cmd"], sort_keys=True) == json.dumps(
+            {"cmd": "show", "where": where, "hi": float("inf")},
+            sort_keys=True)
 
 
 class TestTombstones:
@@ -287,18 +346,31 @@ class TestReopen:
             store.close()
 
     def test_snapshot_survives_reopen(self, kind, tmp_path):
+        """A compacted store reopens to the same entries, and exactly the
+        newest ``DEFAULT_IDEM_RETAINED`` tokens replay through
+        ``get_idem``."""
         store = _make(kind, tmp_path)
         store.create("s0001", META)
-        for seq in range(4):
-            store.append("s0001", _entry(seq))
-        store.compact("s0001", {"k": "v"},
-                      store.load("s0001").records()[:3], 3)
+        n = DEFAULT_IDEM_RETAINED + 8
+        for seq in range(n):
+            with store.stage("s0001", f"tok-{seq}") as staged:
+                store.append("s0001", _entry(seq))
+                staged.set_response({"ok": True, "seq": seq})
+        store.compact("s0001", n)
         before = store.load("s0001")
         store = _reopen(store, kind, tmp_path)
         try:
             after = store.load("s0001")
-            assert after.snapshot == before.snapshot
             assert after.entries == before.entries
+            assert after.commands() == before.commands()
+            # What an open indexes: a fresh oracle over the durable state
+            # for memory, the reopened store's own index otherwise.
+            index = store
+            if kind == "memory":
+                index = MemorySessionStore()
+                index.index_idem(after)
+            replayed = [s for s in range(n) if index.get_idem(f"tok-{s}")]
+            assert replayed == list(range(8, n))
         finally:
             store.close()
 
@@ -334,6 +406,61 @@ class TestJsonlTornTail:
         with make_store("jsonl", tmp_path / "store") as store:
             stored = store.load("s0001")
             assert [e["seq"] for e in stored.entries] == [0]
+
+
+class TestJsonlFsync:
+    """Whole-file writes — meta, tombstone and compacted segments — are
+    fsynced before their rename, and their directory after it, unless
+    the policy is ``off``: otherwise a power loss can drop ``meta.json``
+    and with it every fsynced entry of the session."""
+
+    @pytest.fixture()
+    def synced(self, monkeypatch) -> list[str]:
+        """Paths of every fd ``repro.store.jsonl`` fsyncs."""
+        import os
+
+        from repro.store import jsonl
+
+        paths: list[str] = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            paths.append(os.readlink(f"/proc/self/fd/{fd}"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(jsonl.os, "fsync", spy)
+        return paths
+
+    def _check(self, synced, policy, sid_dir, *names) -> None:
+        expected = {f"{sid_dir.resolve()}/{name}.tmp" for name in names}
+        expected.add(str(sid_dir.resolve()))
+        if policy == "off":
+            assert synced == []
+        else:
+            assert expected <= set(synced)
+
+    @pytest.mark.parametrize("policy", ["always", "batch", "off"])
+    def test_documents_and_directory_fsynced(self, policy, tmp_path, synced):
+        with make_store("jsonl", tmp_path / "store", fsync=policy) as store:
+            store.create("s0001", META)
+            store.set_tombstone("s0001", {"reason": "idle"})
+        self._check(synced, policy, tmp_path / "store" / "sessions" / "s0001",
+                    "meta.json", "tombstone.json")
+
+    @pytest.mark.parametrize("policy", ["always", "batch", "off"])
+    def test_compacted_segment_fsynced(self, policy, tmp_path, synced,
+                                       monkeypatch):
+        monkeypatch.setattr(base, "DEFAULT_IDEM_RETAINED", 0)
+        with make_store("jsonl", tmp_path / "store", fsync=policy) as store:
+            store.create("s0001", META)
+            with store.stage("s0001", "tok-0") as staged:
+                store.append("s0001", _entry(0))
+                staged.set_response({"ok": True})
+            synced.clear()
+            store.compact("s0001", 1)
+            assert "idem" not in store.load("s0001").entries[0]
+        self._check(synced, policy, tmp_path / "store" / "sessions" / "s0001",
+                    "wal-00000000.jsonl")
 
 
 _WRITER_SCRIPT = """

@@ -97,9 +97,14 @@ class TestRecoverSession:
         with pytest.raises(StoreError):
             m.recover_session("s0000")
 
-    def test_snapshot_interval_does_not_change_replay(self, census):
+    def test_snapshot_interval_does_not_change_replay(self, census,
+                                                      monkeypatch):
         """snapshot_every=1 (compact constantly) and =0 (never) recover
-        the same bytes."""
+        the same bytes, with a 1-entry idem horizon so that compaction
+        ages entries on this short stream (256 never would)."""
+        from repro.store import base
+
+        monkeypatch.setattr(base, "DEFAULT_IDEM_RETAINED", 1)
         logs = {}
         for every in (0, 1, 2):
             store = MemorySessionStore()
