@@ -8,8 +8,8 @@ regression pinpoints *which* layer slowed down:
   ``show`` command with a nested predicate (no dispatch);
 * ``service_show`` — a full ``ExplorationService.handle`` round trip
   in-process (dispatch + engine + envelope, no HTTP);
-* ``http_show`` — the same command through the asyncio HTTP server and
-  blocking client over localhost (measures transport overhead);
+* ``http_show`` — the same command through the thread-per-connection
+  HTTP server and blocking client over localhost (measures transport overhead);
 * ``http_read`` — a read-only ``wealth`` command over HTTP (no engine
   work: nearly pure protocol + transport cost);
 * ``http_gesture_sequential`` — one show→star→show user gesture as three

@@ -8,8 +8,8 @@ The package splits transport from protocol:
 * :mod:`repro.api.service` — :class:`ExplorationService`, the
   ``handle(request) -> response`` dispatcher with admission control,
   pipeline execution and the idempotent-replay cache;
-* :mod:`repro.api.http` — the stdlib asyncio HTTP front end
-  (``repro serve``): ``POST /v1/command``, the SSE event channel
+* :mod:`repro.api.http` — the stdlib HTTP front end, one thread per
+  connection (``repro serve``): ``POST /v1/command``, the SSE event channel
   ``GET /v1/events/{session}``, and the occupancy-reporting
   ``GET /healthz``;
 * :mod:`repro.api.client` — the thin blocking :class:`Client` used by

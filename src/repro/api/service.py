@@ -4,10 +4,10 @@
 behind the wire protocol of :mod:`repro.api.protocol`.  It is the single
 choke point the Hardt–Ullman argument requires — clients hold session ids
 and JSON, never datasets, sessions, or procedure objects — and it is
-transport-agnostic: the asyncio HTTP front end (:mod:`repro.api.http`)
-and in-process callers (tests, benchmarks) share this exact code path,
-which is what makes the serial-vs-HTTP decision-log byte-equivalence test
-meaningful.
+transport-agnostic: the thread-per-connection HTTP front end
+(:mod:`repro.api.http`) and in-process callers (tests, benchmarks) share
+this exact code path, which is what makes the serial-vs-HTTP decision-log
+byte-equivalence test meaningful.
 
 Two admission-control rules live here, not in the statistics layer:
 

@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="serve the v1 wire-protocol API over HTTP (asyncio, stdlib-only)",
+        help="serve the v1 wire-protocol API over HTTP (one thread per "
+             "connection, stdlib-only)",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
@@ -457,9 +458,12 @@ def _run_route(args) -> str:
         worker_id = f"w{index}"
         router.add_worker(worker_id, RemoteWorker(worker_id, host, int(port)))
         print(f"route: worker {worker_id} -> {host}:{port}", flush=True)
-    serve_forever(router, host=args.host, port=args.port,
-                  event_heartbeat_s=args.event_heartbeat,
-                  server_factory=RouterHttpServer)
+    try:
+        serve_forever(router, host=args.host, port=args.port,
+                      event_heartbeat_s=args.event_heartbeat,
+                      server_factory=RouterHttpServer)
+    finally:
+        router.close()
     return "router stopped"
 
 

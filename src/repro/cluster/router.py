@@ -37,20 +37,25 @@ one session: envelopes are forwarded whole to one shard, never split.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import http.client
 import json
+import socket
 import threading
 import uuid
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.analysis.runtime import make_lock, make_rlock
 from repro.api.client import Client, _is_idempotent
 from repro.api.http import (
-    ApiHttpServer,
+    _SSE_HEAD,
     EVENTS_PATH_PREFIX,  # noqa: F401 - re-exported for proxy tests
+    ApiHttpServer,
+    _Connection,
     _status_for,
+    _write_response,
 )
 from repro.api.protocol import (
     PROTOCOL_VERSION,
@@ -99,10 +104,14 @@ def _assigned_session_id(idem: str | None) -> str:
 class RemoteWorker:
     """One downstream worker reached over HTTP.
 
-    Holds one :class:`~repro.api.client.Client` per calling thread (the
-    router forwards from many executor threads; ``http.client``
-    connections are not thread-safe).  Downstream retries are capped at
-    one immediate reconnect — failover policy belongs to the router,
+    Forwards on pooled :class:`~repro.api.client.Client` connections: a
+    forward borrows an idle client (or opens one) and returns it once the
+    reply is read.  So concurrent forwards never share an ``http.client``
+    connection (they are not thread-safe), the router opens only as many
+    worker connections as it has forwards in flight at once, and a front
+    connection's thread leaves no worker socket behind when it ends;
+    :meth:`close` closes the pooled ones.  Downstream retries are capped
+    at one immediate reconnect — failover policy belongs to the router,
     which must re-hash to a *different* worker, not spin on a dead port.
     """
 
@@ -113,31 +122,62 @@ class RemoteWorker:
         self.port = port
         self.pid = pid
         self.timeout = timeout
-        self._local = threading.local()
+        self._idle: collections.deque[Client] = collections.deque()
+        self._closed = False
 
-    def _client(self) -> Client:
-        client = getattr(self._local, "client", None)
-        if client is None or client.port != self.port:
+    @contextlib.contextmanager
+    def _client(self) -> Iterator[Client]:
+        """A pooled client for one exchange; closed, not pooled, when the
+        exchange fails (its connection's state is unknown)."""
+        try:
+            client = self._idle.pop()
+        except IndexError:
             client = Client(self.host, self.port, timeout=self.timeout,
                             auto_idem=False, retry_attempts=2)
-            self._local.client = client
-        return client
+        try:
+            yield client
+        except BaseException:
+            client.close()
+            raise
+        self._idle.append(client)
+        if self._closed:  # close() drained the pool while we held this one
+            self.close()
 
     def handle_dict(self, request: Mapping[str, Any]) -> dict:
         """Forward one raw envelope; returns the worker's raw envelope."""
-        _, envelope = self._client()._post(dict(request))
+        with self._client() as client:
+            _, envelope = client._post(dict(request))
         return envelope
 
     def healthz(self) -> dict:
-        return self._client().health()
+        with self._client() as client:
+            return client.health()
+
+    def close(self) -> None:
+        """Close the pooled connections; a forward still in flight closes
+        its own when it finishes."""
+        self._closed = True
+        while True:
+            try:
+                client = self._idle.pop()
+            except IndexError:
+                return
+            client.close()
 
     def open_event_stream(self, session_id: str) -> "_EventProxy":
         """Open the worker's SSE channel for *session_id* (dedicated
         connection, no read timeout — heartbeats bound each blocking
         read on the worker side)."""
         conn = http.client.HTTPConnection(self.host, self.port, timeout=None)
-        conn.request("GET", f"{EVENTS_PATH_PREFIX}{session_id}")
-        return _EventProxy(conn, conn.getresponse())
+        try:
+            conn.request("GET", f"{EVENTS_PATH_PREFIX}{session_id}")
+            # Taken before getresponse(), which hands a Connection: close
+            # stream's socket over to the response.
+            sock = conn.sock
+            return _EventProxy(conn, sock, conn.getresponse())
+        except BaseException:
+            conn.close()
+            raise
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RemoteWorker({self.worker_id} @ "
@@ -147,9 +187,10 @@ class RemoteWorker:
 class _EventProxy:
     """A worker's in-flight SSE response, pumped byte-for-byte."""
 
-    def __init__(self, conn: http.client.HTTPConnection,
+    def __init__(self, conn: http.client.HTTPConnection, sock: socket.socket,
                  response: http.client.HTTPResponse) -> None:
         self._conn = conn
+        self._sock = sock
         self.response = response
         self.status = response.status
         self.content_type = response.getheader("Content-Type", "")
@@ -161,7 +202,14 @@ class _EventProxy:
     def read_body(self) -> bytes:
         return self.response.read()
 
+    def abort(self) -> None:
+        """End the stream from another thread: a blocked
+        :meth:`read_chunk` returns empty."""
+        with contextlib.suppress(OSError):  # already closed
+            self._sock.shutdown(socket.SHUT_RDWR)
+
     def close(self) -> None:
+        self.response.close()
         self._conn.close()
 
 
@@ -229,7 +277,15 @@ class RouterService:
     def remove_worker(self, worker_id: str) -> None:
         with self._lock:
             self._ring.remove(worker_id)
-            self._backends.pop(worker_id, None)
+            backend = self._backends.pop(worker_id, None)
+        _close_backend(backend)
+
+    def close(self) -> None:
+        """Close every worker connection the router holds."""
+        with self._lock:
+            backends = list(self._backends.values())
+        for backend in backends:
+            _close_backend(backend)
 
     def worker_ids(self) -> tuple[str, ...]:
         with self._lock:
@@ -549,76 +605,52 @@ class RouterHttpServer(ApiHttpServer):
     the fleet, and the SSE channel proxies bytes from the owning worker.
     """
 
-    def __init__(self, service: RouterService, host: str = "127.0.0.1",
-                 port: int = 8765, event_heartbeat_s: float = 15.0) -> None:
-        super().__init__(service, host=host, port=port,
-                         event_heartbeat_s=event_heartbeat_s)
-
     def _healthz(self) -> dict:
         return self.service.healthz()
 
-    async def _serve_events(self, writer, session_id: str) -> None:
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        backend = await loop.run_in_executor(
-            None, self.service.events_backend, session_id
-        )
+    def _serve_events(self, conn: _Connection, session_id: str) -> None:
+        backend = self.service.events_backend(session_id)
         if isinstance(backend, dict):  # error envelope: no live workers
-            await self._write_response(
-                writer, _status_for(backend), backend, False
-            )
+            _write_response(conn.sock, _status_for(backend), backend, False)
             return
         try:
-            proxy = await loop.run_in_executor(
-                None, backend.open_event_stream, session_id
-            )
+            proxy = backend.open_event_stream(session_id)
         except CONNECTION_ERRORS:
             envelope = RouterService._failure(
                 "INTERNAL", "event-stream worker connection failed",
                 PROTOCOL_VERSION,
             )
-            await self._write_response(
-                writer, _status_for(envelope), envelope, False
-            )
+            _write_response(conn.sock, _status_for(envelope), envelope, False)
             return
         try:
             if "text/event-stream" not in proxy.content_type:
                 # The worker refused (unknown session, etc.): relay its
                 # JSON envelope with its status.
-                body = await loop.run_in_executor(None, proxy.read_body)
                 try:
-                    envelope = json.loads(body.decode("utf-8"))
+                    envelope = json.loads(proxy.read_body().decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     envelope = RouterService._failure(
                         "INTERNAL", "unreadable worker response",
                         PROTOCOL_VERSION,
                     )
-                await self._write_response(
-                    writer, proxy.status, envelope, False
-                )
+                _write_response(conn.sock, proxy.status, envelope, False)
                 return
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: text/event-stream\r\n"
-                "Cache-Control: no-cache\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            )
-            writer.write(head.encode("latin-1"))
-            await writer.drain()
-            while True:
-                chunk = await loop.run_in_executor(
-                    self._events_pool(), proxy.read_chunk
-                )
-                if not chunk:
-                    return  # worker closed the stream (end event sent)
-                writer.write(chunk)
-                await writer.drain()
+            if not self._arm(conn, proxy.abort):
+                return
+            conn.sock.sendall(_SSE_HEAD)
+            # Until the worker closes the stream (its end event sent).
+            while chunk := proxy.read_chunk():
+                conn.sock.sendall(chunk)
         except CONNECTION_ERRORS:
             pass  # subscriber or worker went away mid-stream
         finally:
             proxy.close()
+
+
+def _close_backend(backend) -> None:
+    """Release a removed backend's connections (in-process ones hold none)."""
+    if isinstance(backend, RemoteWorker):
+        backend.close()
 
 
 class Cluster:
@@ -677,6 +709,7 @@ class Cluster:
 
     def stop(self) -> None:
         self.supervisor.stop()
+        self.router.close()
 
     def __enter__(self) -> "Cluster":
         return self.start()

@@ -63,6 +63,8 @@ class Worker:
     port: int = 0
     #: Trailing stdout lines, kept for crash diagnostics.
     tail: list[str] = field(default_factory=list)
+    #: Reads stdout after boot, and closes the pipe at its end.
+    drain: threading.Thread | None = None
 
     @property
     def pid(self) -> int:
@@ -144,35 +146,21 @@ class WorkerSupervisor:
             env=env,
         )
         worker = Worker(worker_id=worker_id, proc=proc)
-        deadline = time.monotonic() + _BOOT_DEADLINE_S
-        assert proc.stdout is not None
-        while True:
-            if time.monotonic() > deadline:
-                proc.kill()
-                raise ReproError(
-                    f"worker {worker_id} did not print its serve banner "
-                    f"within {_BOOT_DEADLINE_S:.0f}s; "
-                    f"last output: {worker.tail[-5:]}"
-                )
-            line = proc.stdout.readline()
-            if not line:
-                raise ReproError(
-                    f"worker {worker_id} exited during boot "
-                    f"(code {proc.poll()}); output: {worker.tail[-20:]}"
-                )
-            worker.tail.append(line.rstrip("\n"))
-            del worker.tail[:-50]
-            match = BANNER_RE.search(line)
-            if match:
-                worker.host = match.group(1)
-                worker.port = int(match.group(2))
-                break
+        try:
+            self._await_banner(worker)
+        except ReproError:
+            # Reap the process and release its pipe before reporting.
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            raise
         # Keep draining stdout on a daemon thread: a worker that logs
         # after boot must never block on a full pipe.
-        threading.Thread(
+        worker.drain = threading.Thread(
             target=self._drain, args=(worker,),
             name=f"repro-worker-drain-{worker_id}", daemon=True,
-        ).start()
+        )
+        worker.drain.start()
         self.announce(
             f"worker {worker_id} (pid {worker.pid}) "
             f"serving on http://{worker.host}:{worker.port}"
@@ -180,13 +168,36 @@ class WorkerSupervisor:
         return worker
 
     @staticmethod
-    def _drain(worker: Worker) -> None:
-        stream = worker.proc.stdout
-        if stream is None:  # pragma: no cover - spawn always pipes stdout
-            return
-        for line in stream:
+    def _await_banner(worker: Worker) -> None:
+        """Read boot output until the serve banner names the port."""
+        deadline = time.monotonic() + _BOOT_DEADLINE_S
+        while True:
+            if time.monotonic() > deadline:
+                raise ReproError(
+                    f"worker {worker.worker_id} did not print its serve "
+                    f"banner within {_BOOT_DEADLINE_S:.0f}s; "
+                    f"last output: {worker.tail[-5:]}"
+                )
+            line = worker.proc.stdout.readline()
+            if not line:
+                raise ReproError(
+                    f"worker {worker.worker_id} exited during boot "
+                    f"(code {worker.proc.poll()}); output: {worker.tail[-20:]}"
+                )
             worker.tail.append(line.rstrip("\n"))
             del worker.tail[:-50]
+            match = BANNER_RE.search(line)
+            if match:
+                worker.host = match.group(1)
+                worker.port = int(match.group(2))
+                return
+
+    @staticmethod
+    def _drain(worker: Worker) -> None:
+        with worker.proc.stdout as stream:
+            for line in stream:
+                worker.tail.append(line.rstrip("\n"))
+                del worker.tail[:-50]
 
     def start(self) -> dict[str, Worker]:
         """Spawn all workers; returns the live fleet keyed by worker id."""
@@ -256,6 +267,9 @@ class WorkerSupervisor:
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
                 worker.proc.kill()
                 worker.proc.wait(timeout=5.0)
+            # The process is gone, so its drain thread reads EOF and
+            # closes the pipe.
+            worker.drain.join(timeout=5.0)
 
     def __enter__(self) -> "WorkerSupervisor":
         self.start()

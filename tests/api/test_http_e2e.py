@@ -1,8 +1,9 @@
 """HTTP front end: full lifecycle over a live localhost server.
 
-Boots the asyncio server on an ephemeral port (daemon thread) and drives
-it with the blocking :class:`repro.api.Client` — the same pairing the
-CI smoke job exercises through a real ``repro serve`` subprocess.
+Boots the thread-per-connection server on an ephemeral port (its accept
+loop on a daemon thread) and drives it with the blocking
+:class:`repro.api.Client` — the same pairing the CI smoke job exercises
+through a real ``repro serve`` subprocess.
 """
 
 import json

@@ -15,14 +15,17 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.api import ApiError, Client, ExplorationService, ServerThread
-from repro.cluster import BANNER_RE
+from repro.cluster import (BANNER_RE, RemoteWorker, RouterHttpServer,
+                           RouterService)
 from repro.exploration.predicate import Eq
 
-_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+_SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 @pytest.fixture()
@@ -88,9 +91,49 @@ class TestEventProxy:
         assert all(event["session_id"] == sid for event in received)
 
     def test_unknown_session_relays_the_worker_envelope(self, route_port):
-        with Client(port=route_port) as client:
-            with pytest.raises(ApiError) as exc_info:
-                client.events("ghost")
+        with Client(port=route_port) as client, \
+                pytest.raises(ApiError) as exc_info:
+            client.events("ghost")
         assert exc_info.value.code == "SESSION"
         assert exc_info.value.status == 404
 
+
+class TestShortLivedConnections:
+    def test_worker_connections_are_reused_and_closed(self, worker):
+        router = RouterService()
+        router.add_worker("w0", RemoteWorker("w0", worker.host, worker.port))
+        front = RouterHttpServer(router, port=0)
+        front.start()
+        serving = threading.Thread(target=front.serve_forever, daemon=True)
+        serving.start()
+        answers: list[list[str]] = []
+
+        def one_call() -> None:
+            with Client(port=front.port) as client:
+                answers.append([d["name"] for d in client.list_datasets()])
+
+        try:
+            for _ in range(3):
+                threads = [threading.Thread(target=one_call) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+            assert answers == [["census"]] * 12
+            # Twelve front connections, each served and closed on its own
+            # thread, forwarded over at most four worker connections.
+            assert 1 <= worker.server.open_connections <= 4
+        finally:
+            front.stop()
+            serving.join(timeout=10)
+            router.close()
+        assert not serving.is_alive()
+        _wait_for(lambda: worker.server.open_connections == 0)
+
+
+def _wait_for(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)

@@ -2,9 +2,9 @@
 
 Extends PR 2's serial-vs-threaded decision-log equivalence to the wire:
 for hypothesis-generated multi-session traffic, driving the panels
-through a live asyncio HTTP server with the blocking client produces
-decision logs **byte-identical** to the same traffic run serially,
-in-process, against a bare :class:`SessionManager`.  Transport,
+through a live thread-per-connection HTTP server with the blocking
+client produces decision logs **byte-identical** to the same traffic run
+serially, in-process, against a bare :class:`SessionManager`.  Transport,
 serialization and the service dispatcher may add latency — never a
 p-value, a wealth update, or a rejection.
 

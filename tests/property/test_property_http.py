@@ -4,10 +4,10 @@ traceback, never an ``INTERNAL`` envelope, never a hang.
 
 The bytes come from a small request grammar (request lines, headers with
 well-formed and malformed Content-Length and Transfer-Encoding values,
-bodies from valid commands to binary noise), several requests to one
-connection, plus unstructured bytes.  Every connection is half-closed
-after its bytes are sent, so a server still waiting for a body sees EOF
-instead of a hung client.  One server hosts every example.
+bodies from valid commands to over-deep JSON and binary noise), several
+requests to one connection, plus unstructured bytes.  Every connection is
+half-closed after its bytes are sent, so a server still waiting for a
+body sees EOF instead of a hung client.  One server hosts every example.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ _BODIES = st.sampled_from([
     b'[1, 2, 3]',
     b'{not json',
     b'\xff\xfe\x00',
+    b'[' * 5000 + b']' * 5000,  # deeper than the decoder recurses
     b'',
 ]) | st.binary(max_size=48)
 
@@ -52,7 +53,8 @@ def _request_line(draw) -> str:
         "/healthz", "/v1/command", "/v1/events/ghost", "/v1/events/",
         "/nope", "*", "",
     ]))
-    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2", "", "x"]))
+    version = draw(st.sampled_from(
+        ["HTTP/1.1", "HTTP/1.0", "HTTP/2", "", "x"]))
     return " ".join((method, path, version))
 
 
@@ -63,7 +65,7 @@ def _header(draw, body_length: int) -> tuple[str, str]:
                   st.sampled_from([
                       str(body_length), str(body_length + 3),
                       str(max(body_length - 1, 0)), "-1", "+1", "1_0", "",
-                      "abc", "99999999999",
+                      "abc", "99999999999", "9" * 5000,
                   ])),
         st.tuples(st.just("Transfer-Encoding"),
                   st.sampled_from(["chunked", "identity", "gzip, chunked"])),
