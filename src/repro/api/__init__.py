@@ -71,6 +71,7 @@ from repro.api.protocol import (
     COMMANDS,
     FAILURE_POLICIES,
     MAX_PIPELINE_COMMANDS,
+    MAX_PREDICATE_DEPTH,
     PREV,
     PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
@@ -121,6 +122,7 @@ __all__ = [
     "FAILURE_POLICIES",
     "ListDatasets",
     "MAX_PIPELINE_COMMANDS",
+    "MAX_PREDICATE_DEPTH",
     "Override",
     "PREV",
     "PROTOCOL_VERSION",

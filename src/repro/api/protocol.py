@@ -98,6 +98,7 @@ __all__ = [
     "PREV",
     "FAILURE_POLICIES",
     "MAX_PIPELINE_COMMANDS",
+    "MAX_PREDICATE_DEPTH",
     "ERROR_CODES",
     "Command",
     "Pipeline",
@@ -148,6 +149,12 @@ FAILURE_POLICIES: tuple[str, ...] = ("abort_on_error", "continue")
 #: Hard bound on commands per pipeline envelope (one request must not
 #: smuggle unbounded work past admission control).
 MAX_PIPELINE_COMMANDS = 64
+
+#: Hard bound on how deeply a request's ``where`` predicate nests (a leaf
+#: is one level).  The engine walks predicate trees recursively, so a
+#: request must not be able to overflow the stack with a few hundred
+#: nested ``not``/``and`` objects; stored WAL entries are not re-checked.
+MAX_PREDICATE_DEPTH = 32
 
 # ---------------------------------------------------------------------------
 # Error envelope vocabulary
@@ -278,7 +285,7 @@ def _encode_bound(value: float) -> float | str:
 def _decode_bound(value: Any) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ProtocolError(f"bad numeric bound in predicate: {value!r}") from None
 
 
@@ -311,8 +318,22 @@ def predicate_to_dict(pred: Predicate) -> dict:
     raise ProtocolError(f"predicate type {type(pred).__name__} has no wire form")
 
 
-def predicate_from_dict(payload: Mapping[str, Any]) -> Predicate:
-    """Rebuild a predicate from its :func:`predicate_to_dict` form."""
+def predicate_from_dict(
+    payload: Mapping[str, Any], max_depth: int | None = None
+) -> Predicate:
+    """Rebuild a predicate from its :func:`predicate_to_dict` form.
+
+    With *max_depth*, a tree nested deeper than that many levels is
+    rejected with :class:`ProtocolError` before it is built.
+    """
+    return _predicate_from_dict(payload, max_depth, 1)
+
+
+def _predicate_from_dict(
+    payload: Mapping[str, Any], max_depth: int | None, depth: int
+) -> Predicate:
+    if max_depth is not None and depth > max_depth:
+        raise ProtocolError(f"predicate nests deeper than {max_depth} levels")
     if not isinstance(payload, Mapping):
         raise ProtocolError("predicate payload must be a JSON object")
     op = payload.get("op")
@@ -333,15 +354,18 @@ def predicate_from_dict(payload: Mapping[str, Any]) -> Predicate:
                 _decode_bound(payload["hi"]),
             )
         if op == "not":
-            return Not(predicate_from_dict(payload["operand"]))
+            return Not(_predicate_from_dict(payload["operand"], max_depth, depth + 1))
         if op in ("and", "or"):
             operands = payload.get("operands")
             if not isinstance(operands, (list, tuple)):
                 raise ProtocolError(f"{op!r} predicate needs a list of operands")
             cls = And if op == "and" else Or
-            return cls(tuple(predicate_from_dict(p) for p in operands))
+            return cls(tuple(_predicate_from_dict(p, max_depth, depth + 1)
+                             for p in operands))
     except KeyError as exc:
         raise ProtocolError(f"predicate {op!r} is missing field {exc}") from None
+    except TypeError:  # In hashes its values: a list or object is not one
+        raise ProtocolError(f"predicate {op!r} has an unhashable value") from None
     raise ProtocolError(f"unknown predicate op {op!r}")
 
 
@@ -720,7 +744,7 @@ def _command_from_fields(
         raise ProtocolError(
             "'recover' requires protocol v2; this request declares v1"
         )
-    known = {f.name for f in dataclasses.fields(cls)}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs: dict[str, Any] = {}
     for key, value in payload.items():
         if key in ("v", "cmd"):
@@ -729,11 +753,15 @@ def _command_from_fields(
             raise ProtocolError(
                 f"command {verb!r}: 'idem' tokens require protocol v2"
             )
-        if key not in known:
+        if key not in defaults:
             raise ProtocolError(f"command {verb!r} has no field {key!r}")
         _check_field_type(verb, key, value, version)
+        if value is None and defaults[key] not in (None, dataclasses.MISSING):
+            # null stands for a value only where the schema's default is
+            # null: show's bins may be null, create_session's may not.
+            raise ProtocolError(f"command {verb!r}: field {key!r} must not be null")
         if key == "where" and value is not None:
-            value = predicate_from_dict(value)
+            value = predicate_from_dict(value, max_depth=MAX_PREDICATE_DEPTH)
         kwargs[key] = value
     try:
         return cls(v=version, **kwargs)

@@ -582,6 +582,8 @@ class ExplorationService:
             "mask_cache_misses": svc.mask_cache_misses,
             "hist_cache_hits": svc.hist_cache_hits,
             "hist_cache_misses": svc.hist_cache_misses,
+            "test_cache_hits": svc.test_cache_hits,
+            "test_cache_misses": svc.test_cache_misses,
             "shared_cache_hit_rate": svc.shared_cache_hit_rate,
             "max_sessions": self.max_sessions,
             "admission_policy": self.admission_policy,

@@ -20,9 +20,10 @@ latency (Sec. 3's ~100 ms-per-gesture budget):
   keeps the parent's category table, so histograms of sub-populations
   stay aligned with unfiltered ones (chi-square needs aligned cells).
 * **Generation tokens** — every dataset or view gets a fresh generation
-  token at construction (see :mod:`repro.exploration.engine`).  Masks and
-  histograms are memoized per-dataset; because row content never mutates,
-  no invalidation is ever needed — a new view is a new cache.
+  token at construction (see :mod:`repro.exploration.engine`).  Masks,
+  histograms and hypothesis-test results are memoized per-dataset; because
+  row content never mutates, no invalidation is ever needed — a new view
+  is a new cache.
 * **Cached numeric edges and bin codes** — per-column min/max and
   equal-width bin edges are computed once per dataset and reused, keeping
   binned histograms of filtered views comparable.  For each
@@ -43,13 +44,18 @@ import numpy as np
 from repro.errors import InvalidParameterError, SchemaError
 from repro.exploration.engine import (
     DEFAULT_HISTOGRAM_CACHE_SIZE,
+    DEFAULT_TEST_CACHE_SIZE,
     LRUCache,
     mask_cache_entries,
     next_generation,
 )
 from repro.rng import SeedLike, as_generator
 
-__all__ = ["ColumnType", "Column", "Dataset"]
+__all__ = ["ColumnType", "Column", "Dataset", "MAX_BINS"]
+
+#: Most bins a numeric histogram may have.  Edges and labels are built per
+#: bin, so the bound keeps a requested bin count from sizing allocations.
+MAX_BINS = 1024
 
 
 class ColumnType(enum.Enum):
@@ -295,6 +301,7 @@ class Dataset:
         self._view_columns: dict[str, Column] = {}
         self._mask_cache = LRUCache(mask_cache_entries(n_rows))
         self._hist_cache = LRUCache(DEFAULT_HISTOGRAM_CACHE_SIZE)
+        self._test_cache = LRUCache(DEFAULT_TEST_CACHE_SIZE)
         self._edges_cache: dict[tuple[str, int], np.ndarray] = {}
         # Bin codes are n_rows bytes each, like masks: same byte budget.
         self._bin_codes_cache = LRUCache(mask_cache_entries(n_rows))
@@ -503,8 +510,9 @@ class Dataset:
         col = self.column(name)
         if col.ctype is not ColumnType.NUMERIC:
             raise SchemaError(f"column {name!r} is categorical; no bin edges")
-        if bins < 2:
-            raise InvalidParameterError(f"bins must be >= 2, got {bins}")
+        if not 2 <= bins <= MAX_BINS:
+            raise InvalidParameterError(
+                f"bins must be between 2 and {MAX_BINS}, got {bins}")
         lo, hi = self._minmax(name, col)
         if lo == hi:
             hi = lo + 1.0

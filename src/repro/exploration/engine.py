@@ -3,8 +3,9 @@
 The interactive hot path (``ExplorationSession.show`` → predicate mask →
 histogram → chi-square) re-evaluates the same structural objects over and
 over: the same filter predicates, the same attribute histograms, the same
-unfiltered reference distributions.  All of those are pure functions of
-*(immutable predicate, dataset contents)*, so the engine memoizes them:
+unfiltered reference distributions, the same panel's hypothesis test.  All
+of those are pure functions of *(immutable predicate, dataset contents)*,
+so the engine memoizes them:
 
 * every :class:`~repro.exploration.dataset.Dataset` carries a bounded LRU
   **mask cache** (predicate → boolean row mask) and **histogram cache**
@@ -13,7 +14,15 @@ unfiltered reference distributions.  All of those are pure functions of
   (:meth:`~repro.exploration.predicate.Predicate.cache_key`), so the
   wire's operand order and the heuristics' canonical form of one filter
   hit the same entries and a fresh filter is evaluated and binned once;
-* numeric histograms push down through a third LRU of per-row **bin
+* a third LRU, the **test cache**, holds the frozen
+  :class:`~repro.stats.tests.TestResult` of each evaluated hypothesis
+  proposal, keyed by the proposal kind, the ordered target and reference
+  panels as ``(attribute, bins, normalized predicate)`` and the bin-edge
+  bytes.  Only tests that returned are cached (a proposal that raises is
+  re-evaluated, and raises again, on the next call), so every session on
+  a shared dataset reuses the first evaluation's result object and its
+  p-value is bit-identical however often the panel is shown;
+* numeric histograms push down through a fourth LRU of per-row **bin
   codes** per ``(column, bin edges)``, built lazily on first use, so
   every histogram — categorical or numeric — is a ``compress`` gather
   through the cached mask plus one ``np.bincount``;
@@ -33,7 +42,6 @@ bypass the caches; correctness never depends on a cache hit.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import OrderedDict
 from typing import Callable, Hashable
 
@@ -48,10 +56,12 @@ __all__ = [
     "next_generation",
     "cached_mask",
     "cached_histogram",
+    "cached_test",
     "mask_cache_entries",
     "DEFAULT_MASK_CACHE_SIZE",
     "DEFAULT_MASK_CACHE_BUDGET_BYTES",
     "DEFAULT_HISTOGRAM_CACHE_SIZE",
+    "DEFAULT_TEST_CACHE_SIZE",
 ]
 
 #: Upper bound on memoized masks per dataset (boolean arrays, n_rows each).
@@ -61,6 +71,8 @@ DEFAULT_MASK_CACHE_SIZE = 512
 DEFAULT_MASK_CACHE_BUDGET_BYTES = 64 * 1024 * 1024
 #: Upper bound on memoized histograms per dataset (small frozen objects).
 DEFAULT_HISTOGRAM_CACHE_SIZE = 1024
+#: Upper bound on memoized hypothesis-test results per dataset.
+DEFAULT_TEST_CACHE_SIZE = 1024
 
 
 def mask_cache_entries(n_rows: int) -> int:
@@ -83,7 +95,7 @@ def next_generation() -> int:
 
 
 class LRUCache:
-    """Tiny bounded LRU map used for per-dataset mask/histogram caches.
+    """Tiny bounded LRU map used for the per-dataset engine caches.
 
     ``hits``/``misses`` count ``get`` outcomes; the service layer reports
     them as the cross-session sharing rate on registered datasets.
@@ -132,8 +144,8 @@ class ThreadSafeLRUCache(LRUCache):
     sessions will share, because concurrent ``get``/``put`` on an
     ``OrderedDict`` can corrupt its internal ordering (``move_to_end`` of
     an evicted key, interleaved evictions).  One mutex per cache is enough:
-    entries are immutable (read-only masks, frozen histograms), so the
-    critical section is just the bookkeeping.
+    entries are immutable (read-only masks, frozen histograms and test
+    results), so the critical section is just the bookkeeping.
     """
 
     __slots__ = ("_lock",)
@@ -160,13 +172,13 @@ class ThreadSafeLRUCache(LRUCache):
 
 
 def ensure_thread_safe_caches(dataset) -> None:
-    """Swap *dataset*'s mask/histogram/bin-code caches for thread-safe ones.
+    """Swap *dataset*'s mask/histogram/test/bin-code caches for thread-safe ones.
 
     Existing entries and capacities are preserved, so warmed caches stay
     warm.  Idempotent; safe to call on datasets that never see a second
     thread (the lock adds ~100 ns per probe).
     """
-    for attr in ("_mask_cache", "_hist_cache", "_bin_codes_cache"):
+    for attr in ("_mask_cache", "_hist_cache", "_test_cache", "_bin_codes_cache"):
         cache = getattr(dataset, attr, None)
         if cache is None or isinstance(cache, ThreadSafeLRUCache):
             continue
@@ -200,14 +212,26 @@ def cached_mask(dataset, predicate) -> np.ndarray:
 
 def cached_histogram(dataset, key: Hashable, build: Callable[[], object]):
     """Memoized histogram lookup on *dataset* under a structural *key*."""
-    cache: LRUCache | None = getattr(dataset, "_hist_cache", None)
+    return _memoized(getattr(dataset, "_hist_cache", None), key, build)
+
+
+def cached_test(dataset, key: Hashable, build: Callable[[], object]):
+    """Memoized hypothesis-test result on *dataset* under a structural *key*.
+
+    A *build* that raises stores nothing, so the next lookup runs it again.
+    """
+    return _memoized(getattr(dataset, "_test_cache", None), key, build)
+
+
+def _memoized(cache: LRUCache | None, key: Hashable, build: Callable[[], object]):
+    """``build()``, memoized in *cache* under *key* when both allow it."""
     if cache is None:
         return build()
     try:
-        hist = cache.get(key)
+        value = cache.get(key)
     except TypeError:  # unhashable predicate in the key
         return build()
-    if hist is None:
-        hist = build()
-        cache.put(key, hist)
-    return hist
+    if value is None:
+        value = build()
+        cache.put(key, value)
+    return value

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import InsufficientDataError
 from repro.exploration.dataset import Dataset
+from repro.exploration.engine import cached_test
 from repro.exploration.visualization import Visualization
 from repro.stats.tests import TestResult, chi_square_gof, chi_square_two_sample
 
@@ -142,7 +143,32 @@ def evaluate_proposal(
     proportions.  Rule 3: chi-square homogeneity between the two filtered
     count vectors.  Numeric attributes are binned with *bin_edges* (callers
     pass edges computed on the full dataset).
+
+    The result is memoized in *dataset*'s test cache under the proposal
+    kind, the ordered ``(attribute, bins, normalized predicate)`` of target
+    and reference, and the bin-edge bytes, so every session showing the
+    panel gets the first evaluation's frozen result.  A proposal that
+    raises (e.g. :class:`InsufficientDataError`) is not cached.
     """
+    edges = None if bin_edges is None else np.asarray(bin_edges, dtype=float).tobytes()
+    key = (proposal.kind, _panel_key(proposal.target),
+           _panel_key(proposal.reference), edges)
+    return cached_test(dataset, key, lambda: _run_test(proposal, dataset, bin_edges))
+
+
+def _panel_key(viz: Visualization | None) -> tuple | None:
+    """One panel's part of the test-cache key."""
+    if viz is None:
+        return None
+    return (viz.attribute, viz.bins, viz.predicate.cache_key())
+
+
+def _run_test(
+    proposal: HypothesisProposal,
+    dataset: Dataset,
+    bin_edges: np.ndarray | None,
+) -> TestResult:
+    """The uncached test behind :func:`evaluate_proposal` (its miss path)."""
     target_hist = proposal.target.histogram(dataset, bin_edges=bin_edges)
     if target_hist.support == 0:
         raise InsufficientDataError(

@@ -162,7 +162,16 @@ class Eq(Predicate):
                     f"{self.value!r} is not a category of column {self.column!r}"
                 )
             return col.codes == code
-        return np.asarray(col.values == self.value)
+        try:
+            mask = np.asarray(col.values == self.value)
+        except ValueError:  # a sequence value that does not broadcast
+            mask = None
+        if mask is None or mask.shape != col.values.shape:
+            raise PredicateError(
+                f"{self.value!r} cannot be compared with numeric column "
+                f"{self.column!r}"
+            )
+        return mask
 
     def describe(self) -> str:
         return f"{self.column} = {self.value}"
@@ -201,7 +210,14 @@ class In(Predicate):
             lut = np.zeros(len(col.categories), dtype=bool)
             lut[codes] = True
             return lut[col.codes]
-        return np.isin(col.values, np.asarray(self.values, dtype=col.values.dtype))
+        try:
+            values = np.asarray(self.values, dtype=col.values.dtype)
+        except (TypeError, ValueError):
+            raise PredicateError(
+                f"values {sorted(map(str, self.values))} are not all numbers; "
+                f"column {self.column!r} is numeric"
+            ) from None
+        return np.isin(col.values, values)
 
     def describe(self) -> str:
         rendered = ", ".join(str(v) for v in self.values)

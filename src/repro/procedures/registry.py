@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-from repro.errors import UnknownProcedureError
+from repro.errors import InvalidParameterError, UnknownProcedureError
 from repro.procedures.alpha_investing import (
     AlphaInvesting,
     BestFootForward,
@@ -58,7 +58,8 @@ def make_procedure(name: str, alpha: float = 0.05, **kwargs) -> Procedure:
 
     Extra keyword arguments are forwarded to the factory, so e.g.
     ``make_procedure("gamma-fixed", gamma=50)`` overrides the Sec. 7
-    default of γ = 10.
+    default of γ = 10.  A keyword the factory does not take, or a value
+    of a type or size it cannot use, is an :class:`InvalidParameterError`.
     """
     try:
         factory = _REGISTRY[name]
@@ -66,7 +67,10 @@ def make_procedure(name: str, alpha: float = 0.05, **kwargs) -> Procedure:
         raise UnknownProcedureError(
             f"unknown procedure {name!r}; available: {available_procedures()}"
         ) from None
-    return factory(alpha=alpha, **kwargs)
+    try:
+        return factory(alpha=alpha, **kwargs)
+    except (TypeError, OverflowError) as exc:
+        raise InvalidParameterError(f"procedure {name!r}: {exc}") from None
 
 
 def _investing(policy_factory: Callable[..., object]) -> Factory:

@@ -176,7 +176,8 @@ class ServiceStats:
     Masks and histograms memoize at different levels (a histogram hit
     short-circuits the mask probe entirely), so sharing across sessions
     shows up in *either* counter; ``shared_cache_hit_rate`` combines
-    them.
+    them.  The test cache sits above both (a hit skips the proposal's
+    histogram lookups), so its counters are reported on their own.
     """
 
     sessions: int
@@ -187,6 +188,8 @@ class ServiceStats:
     mask_cache_misses: int
     hist_cache_hits: int
     hist_cache_misses: int
+    test_cache_hits: int
+    test_cache_misses: int
     evictions_idle: int = 0
     evictions_capacity: int = 0
     tombstones: int = 0
@@ -1115,26 +1118,20 @@ class SessionManager:
             per_dataset[managed.dataset_name] = (
                 per_dataset.get(managed.dataset_name, 0) + 1
             )
-        mask_hits = mask_misses = hist_hits = hist_misses = 0
         # snapshot: another thread may register a dataset mid-iteration
-        for reg in list(self._datasets.values()):
-            mask_cache = getattr(reg.dataset, "_mask_cache", None)
-            if mask_cache is not None:
-                mask_hits += mask_cache.hits
-                mask_misses += mask_cache.misses
-            hist_cache = getattr(reg.dataset, "_hist_cache", None)
-            if hist_cache is not None:
-                hist_hits += hist_cache.hits
-                hist_misses += hist_cache.misses
+        datasets = [reg.dataset for reg in list(self._datasets.values())]
+        counts: dict[str, int] = {}
+        for prefix in ("mask", "hist", "test"):
+            caches = [getattr(ds, f"_{prefix}_cache", None) for ds in datasets]
+            caches = [cache for cache in caches if cache is not None]
+            counts[f"{prefix}_cache_hits"] = sum(cache.hits for cache in caches)
+            counts[f"{prefix}_cache_misses"] = sum(cache.misses for cache in caches)
         return ServiceStats(
             sessions=len(self._sessions),
             datasets=len(self._datasets),
             shows=shows,
             decisions=decisions,
-            mask_cache_hits=mask_hits,
-            mask_cache_misses=mask_misses,
-            hist_cache_hits=hist_hits,
-            hist_cache_misses=hist_misses,
+            **counts,
             evictions_idle=self._evictions.get("idle", 0),
             evictions_capacity=self._evictions.get("capacity", 0),
             tombstones=len(self._tombstones),

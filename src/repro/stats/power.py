@@ -199,14 +199,20 @@ def _critical_statistic(result: TestResult, level: float) -> float:
     t statistics use the normal approximation for extrapolation: the
     critical t value converges to the normal one as the (growing) sample
     adds degrees of freedom, which is exactly the regime n_H1 reasons about.
+    The chi-square value is ``ChiSquared(df).isf(level)`` computed on plain
+    floats (bit for bit the same number): every serialized hypothesis asks
+    for it, and both callers have already checked *level*.
     """
     if result.family in (TestFamily.Z, TestFamily.T):
         tail = level / 2.0 if result.alternative == "two-sided" else level
         return float(_STD_NORMAL.isf(tail))
     if result.family is TestFamily.CHI_SQUARED:
-        if result.df is None:
+        df = result.df
+        if df is None:
             raise InvalidParameterError("chi-square result is missing degrees of freedom")
-        return float(ChiSquared(result.df).isf(level))
+        if not df > 0:
+            raise InvalidParameterError(f"df must be positive, got {df}")
+        return 2.0 * float(special.gammainccinv(df / 2.0, level))
     raise InvalidParameterError(
         f"n_H1 extrapolation is not defined for family {result.family.value!r}"
     )

@@ -19,6 +19,7 @@ import pytest
 from repro.api import Client, ExplorationService, ServerThread
 from repro.api import http as http_module
 from repro.api.http import MAX_BODY_BYTES
+from repro.api.protocol import MAX_PREDICATE_DEPTH
 from repro.api.service import DEFAULT_MAX_SESSIONS
 from repro.exploration.predicate import Eq, Not
 
@@ -214,6 +215,40 @@ class TestBodyFraming:
         assert status == 400
         assert envelope["error"]["code"] == "PROTOCOL"
         assert "not valid JSON" in envelope["error"]["message"]
+
+
+def _show_nested(server, op: str, wrappers: int) -> tuple[int, dict]:
+    """Status and envelope of a show whose ``where`` wraps one leaf in
+    *wrappers* ``not`` or one-operand ``and`` levels, sent as raw bytes."""
+    create = b'{"v": 2, "cmd": "create_session", "dataset": "census"}'
+    [(_, _, created)] = _exchange(
+        server, _post(create, f"Content-Length: {len(create)}"))
+    pred = b'{"op": "eq", "column": "sex", "value": "Female"}'
+    wrapper = (b'{"op": "not", "operand": %s}' if op == "not"
+               else b'{"op": "and", "operands": [%s]}')
+    for _ in range(wrappers):
+        pred = wrapper % pred
+    body = b'{"v": 2, "cmd": "show", "session_id": "%s", "attribute": "age", ' \
+        b'"where": %s}' % (created["result"]["session_id"].encode(), pred)
+    [(status, _, envelope)] = _exchange(
+        server, _post(body, f"Content-Length: {len(body)}"))
+    return status, envelope
+
+
+class TestPredicateDepth:
+    @pytest.mark.parametrize("op,wrappers", [("not", 330), ("and", 250),
+                                             ("not", 600)])
+    def test_a_deeply_nested_predicate_is_400_protocol(self, server, op,
+                                                       wrappers):
+        status, envelope = _show_nested(server, op, wrappers)
+        assert status == 400
+        assert envelope["error"]["code"] == "PROTOCOL", envelope
+
+    @pytest.mark.parametrize("op", ["not", "and"])
+    def test_a_predicate_at_the_bound_executes(self, server, op):
+        status, envelope = _show_nested(server, op, MAX_PREDICATE_DEPTH - 1)
+        assert status == 200
+        assert envelope["ok"] is True, envelope
 
 
 class TestBind:

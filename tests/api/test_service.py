@@ -5,7 +5,12 @@ import json
 import pytest
 
 import repro.exploration.histogram as histogram_module
-from repro.api.protocol import PROTOCOL_VERSION, CreateSession, Show
+from repro.api.protocol import (
+    MAX_PREDICATE_DEPTH,
+    PROTOCOL_VERSION,
+    CreateSession,
+    Show,
+)
 from repro.api.service import ExplorationService
 from repro.errors import InvalidParameterError
 from repro.exploration.export import session_to_dict
@@ -19,6 +24,16 @@ def service(census):
     svc = ExplorationService(max_sessions=4)
     svc.register_dataset(census, name="census")
     return svc
+
+
+def _nested_predicate(op: str, wrappers: int) -> dict:
+    """A wire predicate: *wrappers* ``not`` or one-operand ``and`` levels
+    around one ``eq`` leaf, so ``wrappers + 1`` levels deep."""
+    pred: dict = {"op": "eq", "column": "sex", "value": "Female"}
+    for _ in range(wrappers):
+        pred = ({"op": "not", "operand": pred} if op == "not"
+                else {"op": "and", "operands": [pred]})
+    return pred
 
 
 def _create(service, **kwargs):
@@ -237,6 +252,51 @@ class TestErrorEnvelopes:
             resp = service.handle(request)
             assert not resp.ok
             assert resp.error.code == code, (request, resp.error)
+
+    @pytest.mark.parametrize("create,where,code", [
+        ({"procedure_kwargs": {"nope": 1}}, None, "INVALID_PARAMETER"),
+        ({"procedure_kwargs": {"gamma": "x"}}, None, "INVALID_PARAMETER"),
+        ({"procedure_kwargs": {"window": 2**63}}, None, "INVALID_PARAMETER"),
+        ({"procedure_kwargs": {"gamma": 10**400}}, None, "INVALID_PARAMETER"),
+        ({"bins": None}, None, "PROTOCOL"),
+        ({"bins": 2**63}, None, "INVALID_PARAMETER"),
+        ({}, {"op": "in", "column": "sex", "values": [[1]]}, "PROTOCOL"),
+        ({}, {"op": "in", "column": "age", "values": ["Female"]}, "PREDICATE"),
+        ({}, {"op": "eq", "column": "age", "value": [1, 2]}, "PREDICATE"),
+        ({}, {"op": "range", "column": "age", "lo": 10**400, "hi": 1},
+         "PROTOCOL"),
+    ])
+    def test_malformed_values_get_coded_errors(self, service, create, where,
+                                               code):
+        created = service.handle_dict({"v": 2, "cmd": "create_session",
+                                       "dataset": "census", **create})
+        if not created["ok"]:
+            assert created["error"]["code"] == code, created
+            return
+        show = {"v": 2, "cmd": "show", "attribute": "age",
+                "session_id": created["result"]["session_id"]}
+        if where is not None:
+            show["where"] = where
+        env = service.handle_dict(show)
+        assert env["error"]["code"] == code, env
+
+    @pytest.mark.parametrize("op,wrappers", [("not", 330), ("and", 250)])
+    def test_deeply_nested_predicate_is_protocol(self, service, op, wrappers):
+        sid = _create(service)
+        env = service.handle_dict({"v": 2, "cmd": "show", "session_id": sid,
+                                   "attribute": "age",
+                                   "where": _nested_predicate(op, wrappers)})
+        assert env["error"]["code"] == "PROTOCOL", env
+        assert str(MAX_PREDICATE_DEPTH) in env["error"]["message"]
+
+    @pytest.mark.parametrize("op", ["not", "and"])
+    def test_predicate_at_the_depth_bound_executes(self, service, op):
+        sid = _create(service)
+        env = service.handle_dict({
+            "v": 2, "cmd": "show", "session_id": sid, "attribute": "age",
+            "where": _nested_predicate(op, MAX_PREDICATE_DEPTH - 1)})
+        assert env["ok"], env
+        assert env["result"]["hypothesis"] is not None
 
     def test_no_traceback_material_in_envelopes(self, service):
         resp = service.handle({"v": 1, "cmd": "show", "session_id": "ghost",

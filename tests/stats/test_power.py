@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.stats.distributions import ChiSquared
 from repro.stats.power import (
+    _critical_statistic,
     extra_data_to_accept,
     extra_data_to_reject,
     holdout_combined_power,
@@ -16,7 +18,12 @@ from repro.stats.power import (
     required_n_chi_square_gof,
     required_n_z_test_two_sample,
 )
-from repro.stats.tests import chi_square_gof, z_test_from_statistic
+from repro.stats.tests import (
+    TestFamily,
+    TestResult,
+    chi_square_gof,
+    z_test_from_statistic,
+)
 
 
 class TestPaperHoldoutNumbers:
@@ -149,3 +156,26 @@ class TestDataToFlip:
         r = permutation_test_mean(x, y, n_resamples=50, seed=0)
         with pytest.raises(InvalidParameterError):
             extra_data_to_reject(r, 0.05)
+
+
+class TestCriticalValue:
+    """The chi-square critical value is computed on plain floats; it must
+    stay bit for bit the distribution's ``isf`` (n_H1 is serialized)."""
+
+    @staticmethod
+    def _chi_square(df: float) -> TestResult:
+        return TestResult(name="chi", family=TestFamily.CHI_SQUARED,
+                          statistic=3.0, p_value=0.2, df=df)
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 11.0, 49.0, 400.0])
+    def test_chi_square_matches_isf_bit_for_bit(self, df):
+        for level in (1e-12, 1e-6, 1e-4, 0.001, 0.00625, 0.025, 0.05, 0.1,
+                      0.25, 0.5, 0.9, 1.0 - 1e-9):
+            expected = float(ChiSquared(df).isf(level))
+            got = _critical_statistic(self._chi_square(df), level)
+            assert got.hex() == expected.hex(), (df, level)
+
+    @pytest.mark.parametrize("df", [0.0, -1.0])
+    def test_non_positive_df_is_rejected(self, df):
+        with pytest.raises(InvalidParameterError):
+            _critical_statistic(self._chi_square(df), 0.05)
