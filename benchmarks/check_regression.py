@@ -51,9 +51,8 @@ def scale_cell_name(cell: dict) -> str:
     sizes stays two distinct benchmarks — their ratio is what a
     ``--min-speedup`` scaling-curve gate checks.
 
-    Mirrors ``repro.service.sweep.cell_bench_name`` (this script stays
-    stdlib-only, so the derivation is duplicated and pinned in sync by
-    ``tests/service/test_check_regression.py``).
+    This is the only place a cell's gate name is derived: the sweep
+    ledger stores raw cells, and :func:`load_means` names them here.
     """
     transport = cell.get("transport", "manager")
     name = (f"scale_{cell['rows']}x{cell['sessions']}"

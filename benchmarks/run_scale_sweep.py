@@ -2,7 +2,7 @@
 """Run the multi-session scale sweep and append a record to ``BENCH_scale.json``.
 
 The service-layer counterpart of ``run_benchmarks.py``: replays synthetic
-and user-study workloads through :class:`repro.service.ScaleSweep` across
+and user-study workloads through :class:`repro.service.sweep.ScaleSweep` across
 a (rows × sessions) grid and appends one attributable record per run to
 the ``BENCH_scale.json`` ledger (the file accumulates history; it is
 never overwritten).

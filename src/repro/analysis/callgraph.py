@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.core import iter_python_files, module_relative_path
 
@@ -324,13 +324,3 @@ class Project:
             self._address_taken = sorted(keys)
         return self._address_taken
 
-
-def walk_scope(body: Iterable[ast.stmt]) -> Iterator[ast.AST]:
-    """Walk statements without descending into nested function defs."""
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))

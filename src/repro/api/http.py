@@ -337,7 +337,10 @@ class ApiHttpServer:
         except (UnicodeDecodeError, json.JSONDecodeError,
                 RecursionError) as exc:  # nested past the decoder's limit
             return 400, _protocol_error(f"body is not valid JSON: {exc}")
-        envelope = self.service.handle_dict(request)
+        try:
+            envelope = self.service.handle_dict(request)
+        except Exception as exc:  # noqa: BLE001 - reprolint: allow(boundary) — HTTP boundary: the client gets a 500 envelope, never a hang-up
+            envelope = Response.from_exception(exc).to_dict()
         return _status_for(envelope), envelope
 
     def _healthz(self) -> dict:

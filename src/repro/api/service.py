@@ -51,7 +51,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-import threading
 from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
@@ -206,7 +205,7 @@ class ExplorationService:
                     )
             else:
                 command = command_from_dict(request)
-        except ReproError as exc:
+        except Exception as exc:  # noqa: BLE001 - reprolint: allow(boundary) — decode boundary: a decoder failure answers an envelope (INTERNAL unless coded), never a traceback
             return Response.from_exception(exc)
         response = self._execute(command)
         if response.v != command.v:

@@ -311,7 +311,7 @@ class RouterService:
             # *forwarded* bytes are the original payload, not a re-
             # serialization — pass-through must stay byte-faithful.
             command = command_from_dict(request)
-        except ReproError as exc:
+        except Exception as exc:  # noqa: BLE001 - reprolint: allow(boundary) — router decode boundary: a decoder failure answers an envelope (INTERNAL unless coded), never a dropped connection
             return self._failure_from(exc, version)
         payload = dict(request)
         try:

@@ -30,7 +30,6 @@ from repro.exploration.predicate import (
     Or,
     Predicate,
     Range,
-    true_predicate,
 )
 from repro.exploration.export import (
     load_session_records,
@@ -76,5 +75,4 @@ __all__ = [
     "session_report_markdown",
     "session_to_dict",
     "session_to_json",
-    "true_predicate",
 ]

@@ -392,13 +392,6 @@ class Dataset:
 
     # -- derivation ----------------------------------------------------------
 
-    def _universe(self) -> dict[str, tuple]:
-        return {
-            s.name: s.categories
-            for s in self._stores.values()
-            if s.ctype is ColumnType.CATEGORICAL
-        }
-
     def select(self, mask: np.ndarray, name: str | None = None) -> "Dataset":
         """View containing only the rows where *mask* is True (zero-copy).
 

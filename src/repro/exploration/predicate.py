@@ -31,7 +31,7 @@ from repro.errors import PredicateError
 from repro.exploration.dataset import ColumnType, Dataset
 from repro.exploration.engine import cached_mask
 
-__all__ = ["Predicate", "TRUE", "Eq", "In", "Range", "Not", "And", "Or", "true_predicate"]
+__all__ = ["Predicate", "TRUE", "Eq", "In", "Range", "Not", "And", "Or"]
 
 
 class Predicate(abc.ABC):
@@ -139,11 +139,6 @@ class _True(Predicate):
 
 
 TRUE = _True()
-
-
-def true_predicate() -> Predicate:
-    """The match-everything predicate (rule-1 'no filter')."""
-    return TRUE
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Three tiers, matching Sec. 4–5 of the paper:
 
 * **Static** (batch) procedures need every p-value up front:
   :func:`bonferroni_mask`, :func:`sidak_mask`, :func:`holm_mask`,
-  :func:`hochberg_mask`, :func:`benjamini_hochberg_mask`,
-  :func:`benjamini_yekutieli_mask`, and Simes' global test.
+  :func:`hochberg_mask`, :func:`benjamini_hochberg_mask` and
+  :func:`benjamini_yekutieli_mask`.
 * **Incremental but non-interactive**: Sequential FDR (G'Sell et al.) —
   consumes the stream in order but only finalizes decisions when the
   stream ends, so earlier decisions can be overturned.
@@ -39,19 +39,10 @@ from repro.procedures.fdr import (
     benjamini_yekutieli_mask,
     storey_pi0_estimate,
 )
-from repro.procedures.important import (
-    important_subset_fdr,
-    select_important,
-)
+from repro.procedures.important import important_subset_fdr
 from repro.procedures.pcer import PCER, pcer_mask
 from repro.procedures.seqfdr import ForwardStop, StrongStop, forward_stop_k, strong_stop_k
-from repro.procedures.stepwise import (
-    Hochberg,
-    Holm,
-    hochberg_mask,
-    holm_mask,
-    simes_global_p,
-)
+from repro.procedures.stepwise import Hochberg, Holm, hochberg_mask, holm_mask
 from repro.procedures.alpha_investing import (
     AlphaInvesting,
     BestFootForward,
@@ -125,9 +116,7 @@ __all__ = [
     "make_procedure",
     "pcer_mask",
     "register_procedure",
-    "select_important",
     "sidak_mask",
-    "simes_global_p",
     "storey_pi0_estimate",
     "strong_stop_k",
 ]

@@ -7,54 +7,21 @@ shows that if the starred set R' is chosen from the discoveries R
 i.e. the user can cherry-pick which discoveries to keep without breaking
 the error guarantee, as long as the choice doesn't peek at the p-values.
 
-:func:`select_important` implements a p-value-blind selection helper; the
-empirical verifier :func:`important_subset_fdr` backs the property-based
-tests and the ablation benchmark.
+The empirical verifier :func:`important_subset_fdr` draws such p-value-blind
+subsets at random; it backs the property-based tests and the ablation
+benchmark.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.procedures.base import Decision
 from repro.rng import SeedLike, as_generator
 
-__all__ = ["select_important", "important_subset_fdr"]
-
-
-def select_important(
-    decisions: Sequence[Decision],
-    selector: Callable[[Decision], bool] | None = None,
-    fraction: float | None = None,
-    seed: SeedLike = None,
-) -> list[Decision]:
-    """Select a subset of *discoveries* independently of their p-values.
-
-    Exactly one of *selector* / *fraction* must be given:
-
-    * ``selector(decision) -> bool`` marks a decision important; callers
-      must not base it on the p-value (Theorem 1's precondition — this is
-      a contract, not something the library can verify).
-    * ``fraction`` keeps a uniformly random share of the discoveries,
-      which is trivially p-value-independent; used by the simulation
-      verifier.
-
-    Only rejected decisions are eligible — accepting hypotheses cannot be
-    "important discoveries".
-    """
-    if (selector is None) == (fraction is None):
-        raise InvalidParameterError("provide exactly one of selector / fraction")
-    discoveries = [d for d in decisions if d.rejected]
-    if selector is not None:
-        return [d for d in discoveries if selector(d)]
-    if not 0.0 <= fraction <= 1.0:
-        raise InvalidParameterError(f"fraction must be in [0, 1], got {fraction}")
-    rng = as_generator(seed)
-    keep = rng.random(len(discoveries)) < fraction
-    return [d for d, k in zip(discoveries, keep) if k]
+__all__ = ["important_subset_fdr"]
 
 
 def important_subset_fdr(

@@ -3,7 +3,9 @@
 The paper's "what users do today" baseline (Exp. 1a): every hypothesis is
 tested at the raw level α.  Power is maximal, and so is the false-discovery
 rate — about 60 % of discoveries are false at m = 64 under the global null
-(Fig. 3e).
+(Fig. 3e).  Exp. 1a runs it as the streaming :class:`PCER`;
+:func:`pcer_mask` is its batch form, the reference the streaming procedure
+is tested against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.procedures.base import BatchProcedure, Decision, StreamingProcedure
+from repro.procedures.base import Decision, StreamingProcedure
 
 __all__ = ["PCER", "pcer_mask"]
 
@@ -40,12 +42,3 @@ class PCER(StreamingProcedure):
             level=self.alpha,
             rejected=p_value <= self.alpha,
         )
-
-
-class PCERBatch(BatchProcedure):
-    """Batch twin of :class:`PCER`, for the static-procedure experiment."""
-
-    name = "pcer-batch"
-
-    def decide(self, p_values: Sequence[float]) -> np.ndarray:
-        return pcer_mask(p_values, self.alpha)

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.procedures.base import Decision
 from repro.procedures.fdr import benjamini_hochberg_mask
 
 __all__ = ["RevalidationReport", "bh_revalidation", "revalidate_session"]
@@ -115,10 +114,3 @@ def revalidate_session(session, alpha: float | None = None) -> RevalidationRepor
         [h.rejected for h in active],
         alpha=level,
     )
-
-
-def _decisions_to_arrays(decisions: Sequence[Decision]) -> tuple[np.ndarray, np.ndarray]:
-    """Helper for callers holding raw Decision logs."""
-    p = np.array([d.p_value for d in decisions])
-    rejected = np.array([d.rejected for d in decisions], dtype=bool)
-    return p, rejected

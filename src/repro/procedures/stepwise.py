@@ -1,4 +1,4 @@
-"""Stepwise FWER procedures: Holm, Hochberg, and Simes' global test.
+"""Stepwise FWER procedures: Holm and Hochberg.
 
 These are the "more power while controlling FWER" alternatives the paper
 surveys in Sec. 4.2 (citing Shaffer's review).  They are all static — they
@@ -13,10 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import InsufficientDataError
 from repro.procedures.base import BatchProcedure
 
-__all__ = ["holm_mask", "hochberg_mask", "simes_global_p", "Holm", "Hochberg"]
+__all__ = ["holm_mask", "hochberg_mask", "Holm", "Hochberg"]
 
 
 def holm_mask(p_values: Sequence[float], alpha: float = 0.05) -> np.ndarray:
@@ -59,21 +58,6 @@ def hochberg_mask(p_values: Sequence[float], alpha: float = 0.05) -> np.ndarray:
             mask[order[:k]] = True
             break
     return mask
-
-
-def simes_global_p(p_values: Sequence[float]) -> float:
-    """Simes' combined p-value for the global null hypothesis.
-
-    ``p_simes = min_k ( m * p_(k) / k )`` — a valid global test under
-    independence, strictly more powerful than the Bonferroni global test
-    ``m * p_(1)``.
-    """
-    arr = np.sort(np.asarray(p_values, dtype=float))
-    m = arr.size
-    if m == 0:
-        raise InsufficientDataError("Simes' test requires at least one p-value")
-    ranks = np.arange(1, m + 1, dtype=float)
-    return float(min(1.0, np.min(m * arr / ranks)))
 
 
 class Holm(BatchProcedure):

@@ -3,8 +3,7 @@
 The first subsystem on the path from "reproduction" to "service":
 :class:`SessionManager` multiplexes isolated α-investing sessions over
 shared immutable datasets (see :mod:`repro.service.manager` for the
-sharing/isolation contract) and :class:`ScaleSweep` measures the service
-across a (rows × sessions) grid (see :mod:`repro.service.sweep`).
+sharing/isolation contract).
 """
 
 from repro.service.events import EventBroker, Subscription
@@ -15,7 +14,6 @@ from repro.service.manager import (
     SessionManager,
     SessionStats,
 )
-from repro.service.sweep import TRANSPORTS, ScaleSweep, SweepCell, append_record
 
 __all__ = [
     "DEFAULT_TOMBSTONE_LIMIT",
@@ -25,8 +23,4 @@ __all__ = [
     "SessionManager",
     "SessionStats",
     "Subscription",
-    "TRANSPORTS",
-    "ScaleSweep",
-    "SweepCell",
-    "append_record",
 ]

@@ -25,7 +25,6 @@ Delivery contract:
 from __future__ import annotations
 
 import queue
-import threading
 from typing import Any, Iterator, Mapping
 
 from repro.analysis.runtime import make_lock

@@ -103,7 +103,6 @@ __all__ = [
     "run_gestures_service",
     "run_gestures_pipeline",
     "append_record",
-    "cell_bench_name",
     "format_cells",
     "run_metadata",
     "sweep_extra",
@@ -186,26 +185,6 @@ class SweepCell:
         if self.workers is not None:
             payload["workers"] = self.workers
         return payload
-
-
-def cell_bench_name(
-    rows: int, sessions: int, workload: str, transport: str,
-    workers: int | None = None,
-) -> str:
-    """The stable benchmark name a sweep cell is gated under.
-
-    Router cells append ``_w{workers}`` so the same grid point at
-    different fleet sizes gates independently (and their ratio is the
-    scaling curve ``--min-speedup`` checks).
-
-    ``benchmarks/check_regression.py`` derives the same names from raw
-    ledger cells (it stays stdlib-only and cannot import this module);
-    ``tests/service/test_check_regression.py`` pins the two in sync.
-    """
-    name = f"scale_{rows}x{sessions}_{workload}_{transport}"
-    if workers is not None:
-        name += f"_w{workers}"
-    return name
 
 
 # ---------------------------------------------------------------------------

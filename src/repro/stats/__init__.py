@@ -1,26 +1,21 @@
-"""Statistical substrate: distributions, tests, effect sizes, power.
+"""Statistical substrate: what each AWARE panel and its gauge compute.
 
-This subpackage implements every statistical primitive the paper relies on:
+Every AWARE gesture needs a hypothesis test behind its panel, an effect
+size for the gauge, and the ``n_H1`` "how much more data" annotation:
 
 * :mod:`repro.stats.distributions` — Normal, Student-t and chi-squared
   distribution objects built directly on ``scipy.special`` primitives.
-* :mod:`repro.stats.tests` — the z/t/chi-square/permutation tests AWARE runs
-  behind visualizations (Sec. 2.1, 2.3 of the paper).
+* :mod:`repro.stats.tests` — the chi-square and t-tests AWARE runs behind
+  visualizations (Sec. 2.1, 2.3 of the paper), and the z-statistic wrapper
+  behind the Exp. 1 synthetic streams.
 * :mod:`repro.stats.effect_size` — Cohen's *d*/*w*, Cramér's V and the
   magnitude labels shown in the AWARE gauge (Fig. 2).
-* :mod:`repro.stats.power` — statistical power, required-sample-size solvers
-  and the paper's ``n_H1`` "how much more data" estimates (Sec. 3).
-* :mod:`repro.stats.combine` — Fisher/Stouffer p-value combination.
-* :mod:`repro.stats.descriptive` — one-pass moments and frequency tables.
+* :mod:`repro.stats.power` — the paper's ``n_H1`` estimates (Sec. 3) and
+  the Sec. 4.1 hold-out power comparison.
+* :mod:`repro.stats.descriptive` — pooled variance and count proportions.
 """
 
-from repro.stats.combine import fisher_combine, stouffer_combine
-from repro.stats.descriptive import (
-    RunningMoments,
-    frequency_table,
-    pooled_variance,
-    proportions,
-)
+from repro.stats.descriptive import pooled_variance, proportions
 from repro.stats.distributions import ChiSquared, Normal, StudentT
 from repro.stats.effect_size import (
     EffectMagnitude,
@@ -30,20 +25,12 @@ from repro.stats.effect_size import (
     cohen_w,
     cohen_w_from_counts,
     cramers_v,
-    glass_delta,
-    hedges_g,
-    phi_coefficient,
 )
 from repro.stats.power import (
     extra_data_to_accept,
     extra_data_to_reject,
     holdout_combined_power,
-    power_chi_square_gof,
     power_t_test_two_sample,
-    power_z_test_one_sample,
-    power_z_test_two_sample,
-    required_n_chi_square_gof,
-    required_n_z_test_two_sample,
 )
 from repro.stats.tests import (
     TestFamily,
@@ -51,20 +38,14 @@ from repro.stats.tests import (
     chi_square_gof,
     chi_square_independence,
     chi_square_two_sample,
-    permutation_test_mean,
-    proportion_z_test,
-    t_test_one_sample,
     t_test_two_sample,
     z_test_from_statistic,
-    z_test_one_sample,
-    z_test_two_sample,
 )
 
 __all__ = [
     "ChiSquared",
     "EffectMagnitude",
     "Normal",
-    "RunningMoments",
     "StudentT",
     "TestFamily",
     "TestResult",
@@ -79,26 +60,10 @@ __all__ = [
     "cramers_v",
     "extra_data_to_accept",
     "extra_data_to_reject",
-    "fisher_combine",
-    "frequency_table",
-    "glass_delta",
-    "hedges_g",
     "holdout_combined_power",
-    "permutation_test_mean",
-    "phi_coefficient",
     "pooled_variance",
-    "power_chi_square_gof",
     "power_t_test_two_sample",
-    "power_z_test_one_sample",
-    "power_z_test_two_sample",
-    "proportion_z_test",
     "proportions",
-    "required_n_chi_square_gof",
-    "required_n_z_test_two_sample",
-    "stouffer_combine",
-    "t_test_one_sample",
     "t_test_two_sample",
     "z_test_from_statistic",
-    "z_test_one_sample",
-    "z_test_two_sample",
 ]

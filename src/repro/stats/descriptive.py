@@ -1,70 +1,18 @@
-"""Descriptive statistics: one-pass moments, pooled variance, frequencies.
+"""Descriptive statistics: pooled variance and count proportions.
 
-These helpers back both the test implementations and the AWARE histogram
-layer.  Visualizations in the paper are histograms (Sec. 2.3), so categorical
-frequency tables are the central descriptive object.
+:func:`pooled_variance` backs the Student t-test; :func:`proportions`
+normalizes a count vector into a probability vector.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import InsufficientDataError, InvalidParameterError
 
-__all__ = ["RunningMoments", "pooled_variance", "frequency_table", "proportions"]
-
-
-@dataclass
-class RunningMoments:
-    """Welford one-pass accumulator for mean and variance.
-
-    Numerically stable for long streams; used by the exploration layer to
-    summarize numeric columns incrementally without re-scanning data.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the running moments."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    def update_many(self, values: Iterable[float]) -> None:
-        """Fold an iterable of observations into the running moments."""
-        for value in values:
-            self.update(float(value))
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (ddof=1); requires at least 2 points."""
-        if self.count < 2:
-            raise InsufficientDataError("variance requires at least 2 observations")
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Unbiased sample standard deviation."""
-        return float(np.sqrt(self.variance))
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        """Return the moments of the union of two accumulated streams."""
-        if other.count == 0:
-            return RunningMoments(self.count, self.mean, self._m2)
-        if self.count == 0:
-            return RunningMoments(other.count, other.mean, other._m2)
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / total
-        m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / total
-        return RunningMoments(total, mean, m2)
+__all__ = ["pooled_variance", "proportions"]
 
 
 def pooled_variance(x: Sequence[float], y: Sequence[float]) -> float:
@@ -76,28 +24,6 @@ def pooled_variance(x: Sequence[float], y: Sequence[float]) -> float:
     vx = x.var(ddof=1)
     vy = y.var(ddof=1)
     return float(((len(x) - 1) * vx + (len(y) - 1) * vy) / (len(x) + len(y) - 2))
-
-
-def frequency_table(
-    values: Iterable[Hashable],
-    categories: Sequence[Hashable] | None = None,
-) -> dict[Hashable, int]:
-    """Count occurrences of each category.
-
-    When *categories* is given the result contains exactly those keys, in
-    that order, with zero counts for unseen categories — this keeps the
-    chi-square contingency tables of two visualizations aligned even when a
-    filtered sub-population is missing a category entirely.
-    """
-    counts = Counter(values)
-    if categories is None:
-        return dict(sorted(counts.items(), key=lambda kv: str(kv[0])))
-    unknown = set(counts) - set(categories)
-    if unknown:
-        raise InvalidParameterError(
-            f"values contain categories not listed in categories: {sorted(map(str, unknown))}"
-        )
-    return {c: counts.get(c, 0) for c in categories}
 
 
 def proportions(counts: Mapping[Hashable, int] | Sequence[int]) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The three distributions every test in the paper needs — standard normal,
 Student's *t* and chi-squared — are implemented here as small immutable
-objects exposing ``pdf``/``cdf``/``sf``/``ppf``/``isf``.  They are built on
+objects exposing ``cdf``/``sf``/``ppf``/``isf``.  They are built on
 ``scipy.special`` primitives (``ndtr``, regularized incomplete beta/gamma and
 their inverses) rather than ``scipy.stats`` so that the numeric core of the
 reproduction is explicit and auditable.
@@ -12,7 +12,6 @@ All methods accept scalars or numpy arrays and follow numpy broadcasting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ from scipy import special
 from repro.errors import InvalidParameterError
 
 __all__ = ["Normal", "StudentT", "ChiSquared"]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -38,11 +35,6 @@ class Normal:
 
     def _standardize(self, x):
         return (np.asarray(x, dtype=float) - self.mu) / self.sigma
-
-    def pdf(self, x):
-        """Probability density at *x*."""
-        z = self._standardize(x)
-        return np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
 
     def cdf(self, x):
         """P(X <= x)."""
@@ -79,16 +71,6 @@ class StudentT:
     def __post_init__(self) -> None:
         if not self.df > 0:
             raise InvalidParameterError(f"df must be positive, got {self.df}")
-
-    def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        v = self.df
-        log_norm = (
-            special.gammaln((v + 1.0) / 2.0)
-            - special.gammaln(v / 2.0)
-            - 0.5 * math.log(v * math.pi)
-        )
-        return np.exp(log_norm - ((v + 1.0) / 2.0) * np.log1p(t * t / v))
 
     def _tail(self, t_abs):
         # P(T > |t|): half the regularized incomplete beta mass.
@@ -130,15 +112,6 @@ class ChiSquared:
     def __post_init__(self) -> None:
         if not self.df > 0:
             raise InvalidParameterError(f"df must be positive, got {self.df}")
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self.df / 2.0
-        log_norm = -k * math.log(2.0) - special.gammaln(k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_pdf = log_norm + (k - 1.0) * np.log(x) - x / 2.0
-            out = np.where(x > 0, np.exp(log_pdf), 0.0)
-        return out
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -19,12 +19,9 @@ from repro.errors import InsufficientDataError, InvalidParameterError
 __all__ = [
     "EffectMagnitude",
     "cohen_d",
-    "glass_delta",
-    "hedges_g",
     "cohen_w",
     "cohen_w_from_counts",
     "cramers_v",
-    "phi_coefficient",
     "classify_cohen_d",
     "classify_cohen_w",
 ]
@@ -53,26 +50,6 @@ def cohen_d(x: Sequence[float], y: Sequence[float]) -> float:
     if pooled == 0:
         return 0.0 if x.mean() == y.mean() else math.inf
     return float((x.mean() - y.mean()) / math.sqrt(pooled))
-
-
-def glass_delta(x: Sequence[float], control: Sequence[float]) -> float:
-    """Glass's Δ: standardizes the mean difference by the control-group SD."""
-    x = np.asarray(x, dtype=float)
-    control = np.asarray(control, dtype=float)
-    if len(control) < 2:
-        raise InsufficientDataError("glass_delta requires >= 2 control observations")
-    sd = control.std(ddof=1)
-    if sd == 0:
-        return 0.0 if x.mean() == control.mean() else math.inf
-    return float((x.mean() - control.mean()) / sd)
-
-
-def hedges_g(x: Sequence[float], y: Sequence[float]) -> float:
-    """Hedges' *g*: small-sample bias-corrected Cohen's *d*."""
-    d = cohen_d(x, y)
-    n = len(x) + len(y)
-    correction = 1.0 - 3.0 / (4.0 * n - 9.0)
-    return float(d * correction)
 
 
 def cohen_w(observed_probs: Sequence[float], expected_probs: Sequence[float]) -> float:
@@ -126,19 +103,6 @@ def cramers_v(table: Sequence[Sequence[float]]) -> float:
     chi2 = _chi2_statistic(t)
     k = min(t.shape) - 1
     return float(math.sqrt(chi2 / (n * k)))
-
-
-def phi_coefficient(table: Sequence[Sequence[float]]) -> float:
-    """The φ coefficient for a 2 x 2 table (signed association strength)."""
-    t = np.asarray(table, dtype=float)
-    if t.shape != (2, 2):
-        raise InvalidParameterError("phi_coefficient requires a 2x2 table")
-    a, b = t[0]
-    c, d = t[1]
-    denom = math.sqrt((a + b) * (c + d) * (a + c) * (b + d))
-    if denom == 0:
-        return 0.0
-    return float((a * d - b * c) / denom)
 
 
 def classify_cohen_d(d: float) -> EffectMagnitude:

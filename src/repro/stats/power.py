@@ -1,11 +1,9 @@
-"""Statistical power, sample-size solvers, and the paper's n_H1 estimates.
+"""Statistical power and the paper's n_H1 estimates.
 
-Three capabilities of the paper live here:
+Two capabilities of the paper live here:
 
-* classic power arithmetic for z/t/chi-square tests, used by the synthetic
-  workloads and by the Sec. 4.1 hold-out analysis (0.99 full-data power vs
-  0.87^2 ~ 0.76 after a 50/50 split);
-* required-sample-size solvers (the inverse problem);
+* the exact power of the two-sample t-test, behind the Sec. 4.1 hold-out
+  analysis (0.99 full-data power vs 0.87^2 ~ 0.76 after a 50/50 split);
 * the AWARE gauge's ``n_H1`` annotations (Sec. 3, Fig. 2 B/C): how much
   *additional* data — assumed to follow the currently observed distribution,
   or the null distribution — would flip a decision.
@@ -18,16 +16,11 @@ import math
 from scipy import special
 
 from repro.errors import InvalidParameterError
-from repro.stats.distributions import ChiSquared, Normal, StudentT
+from repro.stats.distributions import Normal, StudentT
 from repro.stats.tests import TestFamily, TestResult
 
 __all__ = [
-    "power_z_test_one_sample",
-    "power_z_test_two_sample",
     "power_t_test_two_sample",
-    "power_chi_square_gof",
-    "required_n_z_test_two_sample",
-    "required_n_chi_square_gof",
     "extra_data_to_reject",
     "extra_data_to_accept",
     "holdout_combined_power",
@@ -39,53 +32,6 @@ _STD_NORMAL = Normal()
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha}")
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise InvalidParameterError(f"{name} must be positive, got {value}")
-
-
-def _normal_power(ncp: float, alpha: float, alternative: str) -> float:
-    """Power of a unit-variance normal test with non-centrality *ncp*."""
-    if alternative == "two-sided":
-        crit = float(_STD_NORMAL.isf(alpha / 2.0))
-        return float(_STD_NORMAL.sf(crit - ncp) + _STD_NORMAL.cdf(-crit - ncp))
-    if alternative == "greater":
-        crit = float(_STD_NORMAL.isf(alpha))
-        return float(_STD_NORMAL.sf(crit - ncp))
-    if alternative == "less":
-        crit = float(_STD_NORMAL.isf(alpha))
-        return float(_STD_NORMAL.cdf(-crit - ncp))
-    raise InvalidParameterError(f"unknown alternative: {alternative!r}")
-
-
-def power_z_test_one_sample(
-    effect: float,
-    n: int,
-    alpha: float = 0.05,
-    alternative: str = "two-sided",
-) -> float:
-    """Power of a one-sample z-test at standardized effect size *effect*."""
-    _check_alpha(alpha)
-    _check_positive("n", n)
-    return _normal_power(effect * math.sqrt(n), alpha, alternative)
-
-
-def power_z_test_two_sample(
-    effect: float,
-    n_per_group: int,
-    alpha: float = 0.05,
-    alternative: str = "two-sided",
-) -> float:
-    """Power of a two-sample z-test with *n_per_group* observations per arm.
-
-    *effect* is Cohen's d: (mu_1 - mu_2) / sigma.  The non-centrality is
-    ``d * sqrt(n/2)``.
-    """
-    _check_alpha(alpha)
-    _check_positive("n_per_group", n_per_group)
-    return _normal_power(effect * math.sqrt(n_per_group / 2.0), alpha, alternative)
 
 
 def power_t_test_two_sample(
@@ -118,79 +64,6 @@ def power_t_test_two_sample(
         crit = float(t_dist.isf(alpha))
         return float(special.nctdtr(df, ncp, -crit))
     raise InvalidParameterError(f"unknown alternative: {alternative!r}")
-
-
-def power_chi_square_gof(
-    effect_w: float,
-    n: int,
-    df: int,
-    alpha: float = 0.05,
-) -> float:
-    """Power of a chi-square goodness-of-fit test at Cohen's w = *effect_w*.
-
-    The statistic is noncentral chi-square with ``lambda = n * w^2``;
-    ``scipy.special.chndtr`` provides the noncentral CDF.
-    """
-    _check_alpha(alpha)
-    _check_positive("n", n)
-    _check_positive("df", df)
-    crit = float(ChiSquared(float(df)).isf(alpha))
-    lam = n * effect_w * effect_w
-    if lam == 0:
-        return alpha
-    return float(1.0 - special.chndtr(crit, df, lam))
-
-
-def required_n_z_test_two_sample(
-    effect: float,
-    power: float = 0.8,
-    alpha: float = 0.05,
-    alternative: str = "two-sided",
-) -> int:
-    """Per-group sample size for a two-sample z-test to reach *power*.
-
-    Closed form: ``n = 2 * ((z_alpha + z_power) / d)^2`` (rounded up), with
-    ``z_alpha`` taken at alpha/2 for two-sided tests.
-    """
-    _check_alpha(alpha)
-    if not 0.0 < power < 1.0:
-        raise InvalidParameterError(f"power must be in (0, 1), got {power}")
-    if effect == 0:
-        raise InvalidParameterError("cannot size a study for a zero effect")
-    tail = alpha / 2.0 if alternative == "two-sided" else alpha
-    z_alpha = float(_STD_NORMAL.isf(tail))
-    z_power = float(_STD_NORMAL.isf(1.0 - power))
-    n = 2.0 * ((z_alpha + z_power) / abs(effect)) ** 2
-    return max(2, math.ceil(n))
-
-
-def required_n_chi_square_gof(
-    effect_w: float,
-    df: int,
-    power: float = 0.8,
-    alpha: float = 0.05,
-) -> int:
-    """Total sample size for a chi-square GOF test to reach *power*.
-
-    Solved by bisection on the monotone power curve.
-    """
-    _check_alpha(alpha)
-    if not 0.0 < power < 1.0:
-        raise InvalidParameterError(f"power must be in (0, 1), got {power}")
-    if effect_w == 0:
-        raise InvalidParameterError("cannot size a study for a zero effect")
-    lo, hi = 2, 4
-    while power_chi_square_gof(effect_w, hi, df, alpha) < power:
-        hi *= 2
-        if hi > 10**9:
-            raise InvalidParameterError("required sample size exceeds 1e9; effect too small")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if power_chi_square_gof(effect_w, mid, df, alpha) >= power:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _critical_statistic(result: TestResult, level: float) -> float:

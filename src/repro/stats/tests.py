@@ -1,4 +1,4 @@
-"""Hypothesis tests: z, t, chi-square, proportion and permutation tests.
+"""Hypothesis tests: the chi-square and t-tests behind AWARE's panels.
 
 Every test returns a :class:`TestResult`, the unit of currency the whole
 library trades in: procedures consume its ``p_value``, the AWARE gauge
@@ -7,9 +7,10 @@ displays its effect size, and the ``n_H1`` estimators in
 about how the evidence scales with data volume.
 
 The default AWARE hypothesis for a filtered histogram is a chi-square test
-(Sec. 2.3 of the paper), with the t-test available as a user override for
-mean comparisons (step F of the walkthrough), so those two families receive
-the most care here.
+(Sec. 2.3 of the paper), with the Welch t-test available as a user override
+for mean comparisons (step F of the walkthrough).  The Exp. 1 synthetic
+streams skip the data and wrap a drawn z statistic directly
+(:func:`z_test_from_statistic`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import InsufficientDataError, InvalidParameterError
-from repro.rng import SeedLike, as_generator
 from repro.stats.descriptive import pooled_variance
 from repro.stats.distributions import ChiSquared, Normal, StudentT
 from repro.stats.effect_size import cohen_d, cohen_w_from_counts, cramers_v
@@ -32,15 +32,10 @@ __all__ = [
     "TestFamily",
     "TestResult",
     "z_test_from_statistic",
-    "z_test_one_sample",
-    "z_test_two_sample",
-    "t_test_one_sample",
     "t_test_two_sample",
-    "proportion_z_test",
     "chi_square_gof",
     "chi_square_independence",
     "chi_square_two_sample",
-    "permutation_test_mean",
 ]
 
 _ALTERNATIVES = ("two-sided", "greater", "less")
@@ -171,107 +166,6 @@ def z_test_from_statistic(
     )
 
 
-def z_test_one_sample(
-    x: Sequence[float],
-    popmean: float,
-    popsd: float,
-    alternative: str = "two-sided",
-) -> TestResult:
-    """One-sample z-test with known population standard deviation."""
-    _check_alternative(alternative)
-    x = np.asarray(x, dtype=float)
-    if len(x) < 1:
-        raise InsufficientDataError("z-test requires at least 1 observation")
-    if popsd <= 0:
-        raise InvalidParameterError(f"popsd must be positive, got {popsd}")
-    z = (x.mean() - popmean) / (popsd / math.sqrt(len(x)))
-    return TestResult(
-        name="one-sample-z-test",
-        family=TestFamily.Z,
-        statistic=float(z),
-        p_value=_p_from_z(float(z), alternative),
-        alternative=alternative,
-        n_obs=len(x),
-        effect_size=float((x.mean() - popmean) / popsd),
-        effect_name="cohen-d",
-        details={"mean": float(x.mean()), "popmean": popmean, "popsd": popsd},
-    )
-
-
-def z_test_two_sample(
-    x: Sequence[float],
-    y: Sequence[float],
-    sd_x: float,
-    sd_y: float,
-    alternative: str = "two-sided",
-) -> TestResult:
-    """Two-sample z-test with known per-population standard deviations."""
-    _check_alternative(alternative)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 1 or len(y) < 1:
-        raise InsufficientDataError("z-test requires at least 1 observation per group")
-    if sd_x <= 0 or sd_y <= 0:
-        raise InvalidParameterError("population standard deviations must be positive")
-    se = math.sqrt(sd_x**2 / len(x) + sd_y**2 / len(y))
-    z = (x.mean() - y.mean()) / se
-    sd_avg = math.sqrt((sd_x**2 + sd_y**2) / 2.0)
-    return TestResult(
-        name="two-sample-z-test",
-        family=TestFamily.Z,
-        statistic=float(z),
-        p_value=_p_from_z(float(z), alternative),
-        alternative=alternative,
-        n_obs=len(x) + len(y),
-        effect_size=float((x.mean() - y.mean()) / sd_avg),
-        effect_name="cohen-d",
-        details={"mean_x": float(x.mean()), "mean_y": float(y.mean()), "se": se},
-    )
-
-
-def t_test_one_sample(
-    x: Sequence[float],
-    popmean: float,
-    alternative: str = "two-sided",
-) -> TestResult:
-    """One-sample Student t-test against a hypothesized mean."""
-    _check_alternative(alternative)
-    x = np.asarray(x, dtype=float)
-    if len(x) < 2:
-        raise InsufficientDataError("one-sample t-test requires >= 2 observations")
-    sd = x.std(ddof=1)
-    if sd == 0:
-        # Degenerate sample: all values identical. The statistic is +-inf
-        # unless the mean matches the null exactly.
-        if x.mean() == popmean:
-            return TestResult(
-                name="one-sample-t-test",
-                family=TestFamily.T,
-                statistic=0.0,
-                p_value=1.0,
-                alternative=alternative,
-                df=float(len(x) - 1),
-                n_obs=len(x),
-                effect_size=0.0,
-                effect_name="cohen-d",
-            )
-        raise InsufficientDataError("sample has zero variance but nonzero mean difference")
-    t = (x.mean() - popmean) / (sd / math.sqrt(len(x)))
-    df = float(len(x) - 1)
-    return TestResult(
-        name="one-sample-t-test",
-        family=TestFamily.T,
-        statistic=float(t),
-        p_value=_p_from_t(float(t), df, alternative),
-        alternative=alternative,
-        df=df,
-        n_obs=len(x),
-        effect_size=float((x.mean() - popmean) / sd),
-        effect_name="cohen-d",
-        details={"mean": float(x.mean()), "sd": float(sd)},
-    )
-
-
 def t_test_two_sample(
     x: Sequence[float],
     y: Sequence[float],
@@ -341,48 +235,6 @@ def _degenerate_two_sample_t(x, y, alternative: str, equal_var: bool) -> TestRes
             effect_name="cohen-d",
         )
     raise InsufficientDataError("both samples have zero variance but different means")
-
-
-def proportion_z_test(
-    successes_x: int,
-    n_x: int,
-    successes_y: int,
-    n_y: int,
-    alternative: str = "two-sided",
-) -> TestResult:
-    """Two-sample proportion z-test with pooled standard error.
-
-    The natural test for "is salary>50k more common under this filter?"
-    style comparisons of binary attributes.
-    """
-    _check_alternative(alternative)
-    if n_x < 1 or n_y < 1:
-        raise InsufficientDataError("proportion test requires at least 1 trial per group")
-    if not 0 <= successes_x <= n_x or not 0 <= successes_y <= n_y:
-        raise InvalidParameterError("successes must lie in [0, n]")
-    p_x = successes_x / n_x
-    p_y = successes_y / n_y
-    pooled = (successes_x + successes_y) / (n_x + n_y)
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_x + 1.0 / n_y))
-    if se == 0:
-        z = 0.0
-        p_value = 1.0
-    else:
-        z = (p_x - p_y) / se
-        p_value = _p_from_z(z, alternative)
-    # Cohen's h effect size for proportions.
-    h = 2.0 * math.asin(math.sqrt(p_x)) - 2.0 * math.asin(math.sqrt(p_y))
-    return TestResult(
-        name="two-proportion-z-test",
-        family=TestFamily.Z,
-        statistic=float(z),
-        p_value=float(p_value),
-        alternative=alternative,
-        n_obs=n_x + n_y,
-        effect_size=float(h),
-        effect_name="cohen-h",
-        details={"p_x": p_x, "p_y": p_y, "pooled": pooled},
-    )
 
 
 def chi_square_gof(
@@ -511,67 +363,6 @@ def chi_square_two_sample(
         effect_size=result.effect_size,
         effect_name=result.effect_name,
         details={"categories": float(table.shape[1])},
-    )
-
-
-#: Cap on floats held by one batched permutation block (~16 MB of f8).
-_PERMUTATION_CHUNK_BUDGET = 2_000_000
-
-
-def permutation_test_mean(
-    x: Sequence[float],
-    y: Sequence[float],
-    n_resamples: int = 2000,
-    alternative: str = "two-sided",
-    seed: SeedLike = None,
-) -> TestResult:
-    """Permutation test on the difference of means (Sec. 4.4 mention).
-
-    Monte-Carlo permutation with the +1 correction of Phipson & Smyth so
-    the p-value is never exactly zero.  Resampling is vectorized: instead
-    of a Python loop of per-iteration shuffles, the pooled sample is tiled
-    into ``(chunk, n)`` blocks whose rows ``rng.permuted`` shuffles
-    independently in one call, with the chunk size bounded so memory stays
-    flat regardless of ``n_resamples``.
-    """
-    _check_alternative(alternative)
-    if n_resamples < 1:
-        raise InvalidParameterError("n_resamples must be >= 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 1 or len(y) < 1:
-        raise InsufficientDataError("permutation test requires non-empty samples")
-    rng = as_generator(seed)
-    observed = x.mean() - y.mean()
-    combined = np.concatenate([x, y])
-    nx = len(x)
-    n = combined.size
-    diffs = np.empty(n_resamples)
-    chunk = max(1, min(n_resamples, _PERMUTATION_CHUNK_BUDGET // n))
-    pos = 0
-    while pos < n_resamples:
-        k = min(chunk, n_resamples - pos)
-        block = np.tile(combined, (k, 1))
-        rng.permuted(block, axis=1, out=block)
-        diffs[pos : pos + k] = block[:, :nx].mean(axis=1) - block[:, nx:].mean(axis=1)
-        pos += k
-    if alternative == "two-sided":
-        extreme = np.sum(np.abs(diffs) >= abs(observed))
-    elif alternative == "greater":
-        extreme = np.sum(diffs >= observed)
-    else:
-        extreme = np.sum(diffs <= observed)
-    p_value = (extreme + 1.0) / (n_resamples + 1.0)
-    return TestResult(
-        name="permutation-test-mean",
-        family=TestFamily.PERMUTATION,
-        statistic=float(observed),
-        p_value=float(p_value),
-        alternative=alternative,
-        n_obs=len(x) + len(y),
-        effect_size=cohen_d(x, y) if len(x) > 1 and len(y) > 1 else None,
-        effect_name="cohen-d",
-        details={"n_resamples": float(n_resamples)},
     )
 
 

@@ -349,9 +349,6 @@ class SessionStore(ABC):
     def tombstone_ids(self) -> tuple[str, ...]:
         """Ids of every tombstoned session."""
 
-    def sync(self) -> None:  # pragma: no cover - backend-specific
-        """Flush and fsync everything outstanding (no-op by default)."""
-
     def close(self) -> None:  # pragma: no cover - backend-specific
         """Release backend resources; the store must not be used after."""
 

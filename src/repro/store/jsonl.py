@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import threading
 from pathlib import Path
 from typing import IO, Any, Mapping
 
@@ -324,14 +323,6 @@ class JsonlSessionStore(SessionStore):
                     if p.is_dir() and (p / _TOMBSTONE).exists()
                 )
             )
-
-    def sync(self) -> None:
-        with self._lock:
-            for sid, handle in self._segments.items():
-                handle.flush()
-                if self._fsync != "off":
-                    os.fsync(handle.fileno())
-                self._unsynced[sid] = 0
 
     def close(self) -> None:
         with self._lock:

@@ -11,7 +11,6 @@ never holds a legacy snapshot.
 from __future__ import annotations
 
 import json
-import threading
 from typing import Any, Mapping
 
 from repro.analysis.runtime import make_rlock
@@ -119,9 +118,6 @@ class MemorySessionStore(SessionStore):
     def tombstone_ids(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(sorted(self._tombstones))
-
-    def sync(self) -> None:
-        pass
 
     def close(self) -> None:
         pass

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import threading
 import time
 from typing import Any, Mapping
 
@@ -289,11 +288,6 @@ class SqliteSessionStore(SessionStore):
                 "SELECT session_id FROM tombstones ORDER BY session_id"
             ).fetchall()
             return tuple(row[0] for row in rows)
-
-    def sync(self) -> None:
-        with self._lock:
-            self._conn.commit()
-            self._conn.execute("PRAGMA wal_checkpoint(FULL)")
 
     def close(self) -> None:
         with self._lock:

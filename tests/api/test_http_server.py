@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import Client, ExplorationService, ServerThread
 from repro.api import http as http_module
+from repro.api import service as service_module
 from repro.api.http import MAX_BODY_BYTES
 from repro.api.protocol import MAX_PREDICATE_DEPTH
 from repro.api.service import DEFAULT_MAX_SESSIONS
@@ -215,6 +216,29 @@ class TestBodyFraming:
         assert status == 400
         assert envelope["error"]["code"] == "PROTOCOL"
         assert "not valid JSON" in envelope["error"]["message"]
+
+
+class TestDecodeBoundary:
+    @pytest.mark.parametrize("broken", ["decoder", "service"])
+    def test_a_decoder_failure_is_a_500_envelope_not_a_hang_up(
+            self, server, monkeypatch, broken):
+        def raise_bug(request):
+            raise RuntimeError("decoder bug")
+
+        # "decoder" breaks below the service's guard; "service" breaks the
+        # whole dispatcher, so only the HTTP route's own guard answers.
+        if broken == "decoder":
+            monkeypatch.setattr(service_module, "command_from_dict",
+                                raise_bug)
+        else:
+            monkeypatch.setattr(server.server.service, "handle_dict",
+                                raise_bug)
+        responses = _exchange(server, _post(
+            LIST_DATASETS, f"Content-Length: {len(LIST_DATASETS)}"))
+        assert len(responses) == 1, "the server hung up without answering"
+        [(status, _, envelope)] = responses
+        assert status == 500
+        assert envelope["error"]["code"] == "INTERNAL", envelope
 
 
 def _show_nested(server, op: str, wrappers: int) -> tuple[int, dict]:

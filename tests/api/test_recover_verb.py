@@ -24,7 +24,6 @@ from repro.api.protocol import (
     command_to_dict,
 )
 from repro.api.service import ExplorationService
-from repro.exploration.predicate import Eq
 from repro.service import SessionManager
 from repro.store import MemorySessionStore
 

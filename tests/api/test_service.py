@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.api.service as service_module
 import repro.exploration.histogram as histogram_module
 from repro.api.protocol import (
     MAX_PREDICATE_DEPTH,
@@ -297,6 +298,18 @@ class TestErrorEnvelopes:
             "where": _nested_predicate(op, MAX_PREDICATE_DEPTH - 1)})
         assert env["ok"], env
         assert env["result"]["hypothesis"] is not None
+
+    def test_a_decoder_failure_is_an_internal_envelope(self, service,
+                                                       monkeypatch):
+        def broken_decoder(request):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(service_module, "command_from_dict",
+                            broken_decoder)
+        env = service.handle_dict({"v": 2, "cmd": "list_datasets"})
+        assert env["ok"] is False
+        assert env["error"]["code"] == "INTERNAL", env
+        assert "decoder bug" not in json.dumps(env)
 
     def test_no_traceback_material_in_envelopes(self, service):
         resp = service.handle({"v": 1, "cmd": "show", "session_id": "ghost",

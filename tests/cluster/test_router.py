@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api.service as service_module
+import repro.cluster.router as router_module
 from repro.api.service import ExplorationService
 from repro.cluster import LocalWorker, RouterService
 from repro.cluster.router import _MAX_FAILOVERS, _assigned_session_id
@@ -148,6 +150,21 @@ class TestPassThrough:
         router, _, _ = _make()
         assert _err(router.handle_dict({"v": 2, "cmd": "nope"}))
         assert _err(router.handle_dict({"v": 2}))
+
+    @pytest.mark.parametrize("module", [router_module, service_module],
+                             ids=["router-edge", "worker"])
+    def test_a_decoder_failure_is_an_internal_envelope(self, module,
+                                                       monkeypatch):
+        router, _, _ = _make()
+        sid = _create(router)
+
+        def broken_decoder(request):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(module, "command_from_dict", broken_decoder)
+        error = _err(router.handle_dict(
+            {"v": 2, "cmd": "wealth", "session_id": sid}))
+        assert error["code"] == "INTERNAL", error
 
     def test_multi_session_pipeline_rejected(self):
         router, _, _ = _make()

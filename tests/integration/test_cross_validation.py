@@ -16,7 +16,6 @@ from repro.exploration.predicate import Eq
 from repro.exploration.session import ExplorationSession
 from repro.procedures.base import apply_to_stream
 from repro.procedures.registry import make_procedure
-from repro.stats.power import power_z_test_two_sample
 from repro.workloads.synthetic import TwoSampleStreamGenerator, ZStreamGenerator
 
 
@@ -44,22 +43,6 @@ class TestStatisticVsDataLevel:
             return float(np.mean(powers))
 
         assert avg_power(z_gen) == pytest.approx(avg_power(t_gen), abs=0.10)
-
-    def test_power_formula_matches_simulation(self, rng):
-        """Closed-form z power vs the empirical rejection rate."""
-        effect, n, alpha = 0.4, 60, 0.05
-        predicted = power_z_test_two_sample(effect, n, alpha)
-        rejections = 0
-        reps = 2000
-        for _ in range(reps):
-            x = rng.normal(0.0, 1.0, n)
-            y = rng.normal(-effect, 1.0, n)
-            z = (x.mean() - y.mean()) / np.sqrt(2.0 / n)
-            from repro.stats.tests import z_test_from_statistic
-
-            if z_test_from_statistic(float(z)).p_value <= alpha:
-                rejections += 1
-        assert rejections / reps == pytest.approx(predicted, abs=0.03)
 
 
 class TestSessionVsBareProcedure:

@@ -4,50 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.procedures.base import Decision
 from repro.procedures.fdr import benjamini_hochberg_mask
-from repro.procedures.important import important_subset_fdr, select_important
-
-
-def make_decisions(p_values, mask):
-    return [
-        Decision(index=i, p_value=float(p), level=0.05, rejected=bool(r))
-        for i, (p, r) in enumerate(zip(p_values, mask))
-    ]
-
-
-class TestSelectImportant:
-    def test_selector_keeps_only_discoveries(self):
-        decisions = make_decisions([0.001, 0.9, 0.002], [True, False, True])
-        chosen = select_important(decisions, selector=lambda d: d.index == 2)
-        assert [d.index for d in chosen] == [2]
-
-    def test_selector_never_returns_accepted(self):
-        decisions = make_decisions([0.001, 0.9], [True, False])
-        chosen = select_important(decisions, selector=lambda d: True)
-        assert all(d.rejected for d in chosen)
-
-    def test_fraction_selection_reproducible(self):
-        decisions = make_decisions([0.001] * 20, [True] * 20)
-        a = select_important(decisions, fraction=0.5, seed=3)
-        b = select_important(decisions, fraction=0.5, seed=3)
-        assert [d.index for d in a] == [d.index for d in b]
-
-    def test_fraction_one_keeps_all(self):
-        decisions = make_decisions([0.001] * 10, [True] * 10)
-        assert len(select_important(decisions, fraction=1.0, seed=0)) == 10
-
-    def test_requires_exactly_one_mode(self):
-        decisions = make_decisions([0.001], [True])
-        with pytest.raises(InvalidParameterError):
-            select_important(decisions)
-        with pytest.raises(InvalidParameterError):
-            select_important(decisions, selector=lambda d: True, fraction=0.5)
-
-    def test_fraction_validation(self):
-        decisions = make_decisions([0.001], [True])
-        with pytest.raises(InvalidParameterError):
-            select_important(decisions, fraction=1.5)
+from repro.procedures.important import important_subset_fdr
 
 
 class TestTheoremOneEmpirically:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import InsufficientDataError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.procedures.base import apply_to_stream
 from repro.procedures.bonferroni import (
     Bonferroni,
@@ -20,7 +20,7 @@ from repro.procedures.fdr import (
     storey_pi0_estimate,
 )
 from repro.procedures.pcer import PCER, pcer_mask
-from repro.procedures.stepwise import hochberg_mask, holm_mask, simes_global_p
+from repro.procedures.stepwise import hochberg_mask, holm_mask
 
 
 class TestPCER:
@@ -118,17 +118,6 @@ class TestStepwise:
         # .04 <= .05 -> reject all.
         mask = hochberg_mask([0.01, 0.04, 0.03, 0.005], 0.05)
         assert mask.tolist() == [True, True, True, True]
-
-    def test_simes_more_powerful_than_min_bonferroni(self):
-        p = [0.02, 0.03, 0.04]
-        assert simes_global_p(p) <= 3 * min(p)
-
-    def test_simes_single_value(self):
-        assert simes_global_p([0.2]) == pytest.approx(0.2)
-
-    def test_simes_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            simes_global_p([])
 
 
 class TestBenjaminiHochberg:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.procedures.bonferroni import bonferroni_mask, sidak_mask
 from repro.procedures.fdr import benjamini_hochberg_mask, benjamini_yekutieli_mask
 from repro.procedures.seqfdr import forward_stop_k
-from repro.procedures.stepwise import hochberg_mask, holm_mask, simes_global_p
+from repro.procedures.stepwise import hochberg_mask, holm_mask
 
 p_vectors = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=60
@@ -76,14 +76,6 @@ class TestStructuralProperties:
     @settings(max_examples=100, deadline=None)
     def test_forward_stop_monotone_in_alpha(self, p, alpha):
         assert forward_stop_k(p, alpha) >= forward_stop_k(p, alpha / 2)
-
-    @given(p=p_vectors)
-    @settings(max_examples=100, deadline=None)
-    def test_simes_valid_p_value(self, p):
-        s = simes_global_p(p)
-        assert 0.0 <= s <= 1.0
-        # Simes dominates the Bonferroni global test.
-        assert s <= min(1.0, len(p) * min(p)) + 1e-12
 
 
 class TestDecisionMaskSanity:

@@ -191,21 +191,6 @@ class TestScaleCells:
             "scale_100000x16_synthetic_pipeline": pytest.approx(1.0e-3),
         }
 
-    def test_cell_names_match_the_sweep_module(self):
-        """The stdlib-only gate and the sweep library derive the same
-        names — pinned here so the two can never drift."""
-        from repro.service.sweep import cell_bench_name
-
-        cell = _scale_cell(10_000, 1, "user-study", "manager", 1.0)
-        assert (check_regression.scale_cell_name(cell)
-                == cell_bench_name(10_000, 1, "user-study", "manager"))
-        router = _scale_cell(100_000, 16, "synthetic", "router", 1.0,
-                             workers=4)
-        assert (check_regression.scale_cell_name(router)
-                == cell_bench_name(100_000, 16, "synthetic", "router",
-                                   workers=4)
-                == "scale_100000x16_synthetic_router_w4")
-
     def test_router_fleet_sizes_are_distinct_benchmarks(self, tmp_path):
         """workers=1 and workers=4 cells must never collide under one
         name — their ratio IS the scaling curve the CI gate enforces."""

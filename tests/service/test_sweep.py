@@ -19,7 +19,6 @@ from repro.service.sweep import (
     TRANSPORTS,
     ScaleSweep,
     append_record,
-    cell_bench_name,
     compile_gestures,
     format_cells,
     run_gestures_pipeline,
@@ -327,10 +326,6 @@ class TestLedger:
         assert set(meta) == {"git_sha", "python", "machine"}
         # inside this git repo the sha must resolve to a real commit
         assert meta["git_sha"] != "unknown"
-
-    def test_cell_bench_name_shape(self):
-        assert (cell_bench_name(100_000, 16, "synthetic", "pipeline")
-                == "scale_100000x16_synthetic_pipeline")
 
 
 class TestCliEntryPoints:

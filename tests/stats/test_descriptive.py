@@ -4,54 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InsufficientDataError, InvalidParameterError
-from repro.stats.descriptive import (
-    RunningMoments,
-    frequency_table,
-    pooled_variance,
-    proportions,
-)
-
-
-class TestRunningMoments:
-    def test_matches_numpy(self, rng):
-        data = rng.normal(3.0, 2.0, 500)
-        acc = RunningMoments()
-        acc.update_many(data)
-        assert acc.count == 500
-        assert acc.mean == pytest.approx(data.mean(), rel=1e-12)
-        assert acc.variance == pytest.approx(data.var(ddof=1), rel=1e-10)
-        assert acc.std == pytest.approx(data.std(ddof=1), rel=1e-10)
-
-    def test_variance_needs_two_points(self):
-        acc = RunningMoments()
-        acc.update(1.0)
-        with pytest.raises(InsufficientDataError):
-            _ = acc.variance
-
-    def test_merge_equals_single_pass(self, rng):
-        a = rng.normal(0, 1, 100)
-        b = rng.normal(5, 3, 57)
-        left = RunningMoments()
-        left.update_many(a)
-        right = RunningMoments()
-        right.update_many(b)
-        merged = left.merge(right)
-        both = np.concatenate([a, b])
-        assert merged.count == 157
-        assert merged.mean == pytest.approx(both.mean(), rel=1e-12)
-        assert merged.variance == pytest.approx(both.var(ddof=1), rel=1e-10)
-
-    def test_merge_with_empty(self):
-        acc = RunningMoments()
-        acc.update_many([1.0, 2.0, 3.0])
-        merged = acc.merge(RunningMoments())
-        assert merged.count == 3
-        assert merged.mean == pytest.approx(2.0)
-
-    def test_numerical_stability_large_offset(self):
-        acc = RunningMoments()
-        acc.update_many([1e9 + i for i in (1.0, 2.0, 3.0)])
-        assert acc.variance == pytest.approx(1.0, rel=1e-6)
+from repro.stats.descriptive import pooled_variance, proportions
 
 
 class TestPooledVariance:
@@ -64,20 +17,6 @@ class TestPooledVariance:
     def test_requires_two_per_group(self):
         with pytest.raises(InsufficientDataError):
             pooled_variance([1.0], [1.0, 2.0])
-
-
-class TestFrequencyTable:
-    def test_counts(self):
-        assert frequency_table(["a", "b", "a", "c", "a"]) == {"a": 3, "b": 1, "c": 1}
-
-    def test_explicit_categories_align_with_zeros(self):
-        table = frequency_table(["a", "a"], categories=["a", "b", "c"])
-        assert table == {"a": 2, "b": 0, "c": 0}
-        assert list(table) == ["a", "b", "c"]
-
-    def test_unknown_category_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            frequency_table(["a", "z"], categories=["a", "b"])
 
 
 class TestProportions:

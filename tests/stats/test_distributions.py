@@ -22,13 +22,6 @@ class TestNormal:
             n.cdf(xs), scipy_stats.norm.cdf(xs, loc=1.5, scale=2.0), rtol=1e-12
         )
 
-    def test_pdf_matches_scipy(self):
-        n = Normal(mu=-0.5, sigma=0.7)
-        xs = np.linspace(-4, 3, 30)
-        np.testing.assert_allclose(
-            n.pdf(xs), scipy_stats.norm.pdf(xs, loc=-0.5, scale=0.7), rtol=1e-12
-        )
-
     def test_sf_accurate_in_far_tail(self):
         n = Normal()
         # 1 - cdf would lose precision out here; sf must not.
@@ -68,12 +61,6 @@ class TestStudentT:
         xs = np.linspace(-5, 5, 31)
         np.testing.assert_allclose(t.sf(xs), scipy_stats.t.sf(xs, df), rtol=1e-10)
 
-    @pytest.mark.parametrize("df", [2, 9, 50])
-    def test_pdf_matches_scipy(self, df):
-        t = StudentT(df)
-        xs = np.linspace(-4, 4, 17)
-        np.testing.assert_allclose(t.pdf(xs), scipy_stats.t.pdf(xs, df), rtol=1e-10)
-
     @pytest.mark.parametrize("df", [1, 4, 11, 60])
     def test_ppf_inverts_cdf(self, df):
         t = StudentT(df)
@@ -106,17 +93,10 @@ class TestChiSquared:
         xs = np.linspace(0.01, 5 * df, 25)
         np.testing.assert_allclose(c.sf(xs), scipy_stats.chi2.sf(xs, df), rtol=1e-10)
 
-    @pytest.mark.parametrize("df", [2, 7, 31])
-    def test_pdf_matches_scipy(self, df):
-        c = ChiSquared(df)
-        xs = np.linspace(0.05, 3 * df, 20)
-        np.testing.assert_allclose(c.pdf(xs), scipy_stats.chi2.pdf(xs, df), rtol=1e-9)
-
     def test_cdf_zero_below_support(self):
         c = ChiSquared(4)
         assert c.cdf(-1.0) == 0.0
         assert c.sf(-1.0) == 1.0
-        assert c.pdf(-0.5) == 0.0
 
     @pytest.mark.parametrize("df", [1, 6, 40])
     def test_ppf_isf_consistency(self, df):

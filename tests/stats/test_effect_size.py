@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import InsufficientDataError, InvalidParameterError
@@ -14,9 +13,6 @@ from repro.stats.effect_size import (
     cohen_w,
     cohen_w_from_counts,
     cramers_v,
-    glass_delta,
-    hedges_g,
-    phi_coefficient,
 )
 
 
@@ -44,21 +40,6 @@ class TestCohenD:
     def test_requires_two_per_group(self):
         with pytest.raises(InsufficientDataError):
             cohen_d([1.0], [1.0, 2.0])
-
-
-class TestGlassAndHedges:
-    def test_glass_uses_control_sd(self):
-        x = [10.0, 12.0, 14.0]
-        control = [0.0, 2.0, 4.0]  # sd = 2
-        assert glass_delta(x, control) == pytest.approx((12.0 - 2.0) / 2.0)
-
-    def test_hedges_shrinks_toward_zero(self, rng):
-        x = rng.normal(1, 1, 10)
-        y = rng.normal(0, 1, 10)
-        d = cohen_d(x, y)
-        g = hedges_g(x, y)
-        assert abs(g) < abs(d)
-        assert np.sign(g) == np.sign(d)
 
 
 class TestCohenW:
@@ -94,20 +75,9 @@ class TestCramersVAndPhi:
     def test_no_association(self):
         assert cramers_v([[25, 25], [25, 25]]) == pytest.approx(0.0)
 
-    def test_phi_signed(self):
-        assert phi_coefficient([[50, 0], [0, 50]]) == pytest.approx(1.0)
-        assert phi_coefficient([[0, 50], [50, 0]]) == pytest.approx(-1.0)
-
-    def test_phi_zero_table(self):
-        assert phi_coefficient([[0, 0], [0, 0]]) == 0.0
-
     def test_cramers_v_requires_2d(self):
         with pytest.raises(InvalidParameterError):
             cramers_v([[1, 2]])
-
-    def test_phi_requires_2x2(self):
-        with pytest.raises(InvalidParameterError):
-            phi_coefficient([[1, 2, 3], [4, 5, 6]])
 
 
 class TestMagnitudeBands:
