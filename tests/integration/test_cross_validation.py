@@ -1,9 +1,9 @@
 """Cross-checks between independent implementations of the same quantity.
 
 These tests catch silent drift between layers: the statistic-level
-synthetic stream vs real data-level tests, the closed-form power math vs
-simulation, the session's decisions vs the bare procedure on the same
-p-values, and the exported snapshot vs the live session.
+synthetic stream vs real data-level tests, the session's decisions vs
+the bare procedure on the same p-values, and the exported snapshot vs
+the live session.
 """
 
 import json

@@ -1,4 +1,4 @@
-"""Descriptive statistics: Welford accumulation, pooling, frequencies."""
+"""Descriptive statistics: pooled variance and proportions."""
 
 import numpy as np
 import pytest
