@@ -2,10 +2,10 @@
 
 AWARE's premise is that error control must keep up with an *interactive*
 tool: every gesture triggers a hypothesis test plus a budget decision.
-These benchmarks time the hot paths — one investing decision, one
-heuristic-derived panel (cached and never-repeating), one full 115-step
-workflow replay — and assert they stay comfortably inside interactive
-budgets.
+These benchmarks time the hot paths — one investing decision, fresh and
+deep into a long session, one heuristic-derived panel (cached and
+never-repeating), one full 115-step workflow replay — and assert they
+stay comfortably inside interactive budgets.
 """
 
 from __future__ import annotations
@@ -38,6 +38,35 @@ def test_investing_decision_latency(benchmark):
 
     benchmark(one_decision)
     assert benchmark.stats.stats.mean < 1e-3  # << 1 ms per decision
+
+
+#: Outcomes a long session has recorded before its decision is timed.
+LONG_SESSION_OUTCOMES = 10_000
+
+
+def test_investing_decision_latency_long_session(benchmark):
+    """One ``epsilon-hybrid`` decision after 10⁴ recorded outcomes.
+
+    The default procedure estimates the data's randomness from every
+    outcome of an unwindowed session, so a decision must not grow with
+    the session: an uncapped session reaches this length in under a
+    minute of drill-down traffic.  Three in five p-values are tiny, so
+    the session keeps its wealth and every test records an outcome.
+    """
+    proc = make_procedure("epsilon-hybrid")
+    rng = np.random.default_rng(0)
+    p_values = np.where(rng.uniform(size=2_000_000) < 0.6, 1e-9,
+                        rng.uniform(size=2_000_000))
+    stream = iter(p_values)
+    for _ in range(LONG_SESSION_OUTCOMES):
+        proc.test(float(next(stream)))
+    assert proc.num_tested == LONG_SESSION_OUTCOMES and not proc.is_exhausted
+
+    def one_decision():
+        proc.test(float(next(stream)))
+
+    benchmark(one_decision)
+    assert benchmark.stats.stats.mean < 1e-3
 
 
 def test_session_show_latency(benchmark, bench_census):

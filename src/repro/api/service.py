@@ -504,6 +504,19 @@ class ExplorationService:
         return summary
 
     def _show(self, cmd: Show) -> dict:
+        if cmd.bins is not None:
+            # A session bins every numeric attribute one way, so a numeric
+            # panel cannot honour other bins.  The session's bins and
+            # dataset never change, so this needs no session lock; replay
+            # calls the manager directly and so still accepts old entries.
+            session = self.manager.session(cmd.session_id)
+            if (cmd.bins != session.bins
+                    and cmd.attribute in session.dataset.column_names
+                    and not session.dataset.is_categorical(cmd.attribute)):
+                raise InvalidParameterError(
+                    f"bins={cmd.bins} differs from this session's bins "
+                    f"({session.bins}), which every numeric panel uses"
+                )
         # Wealth admission control (Sec. 5.8) happens *inside* the
         # session lock — see SessionManager.show(reject_exhausted=True) —
         # so concurrent shows cannot race past the exhaustion check.
@@ -639,7 +652,8 @@ class ExplorationService:
             "visualization": {
                 "attribute": viz.attribute,
                 "predicate": predicate_to_dict(viz.predicate.normalize()),
-                "bins": viz.bins,
+                # The bins actually used: a categorical panel's category count.
+                "bins": len(hist.counts),
             },
             "histogram": {
                 "attribute": hist.attribute,

@@ -30,20 +30,29 @@ latency (Sec. 3's ~100 ms-per-gesture budget):
   ``(column, edges)`` pair a numeric histogram asks for, the dataset
   lazily builds one read-only array of per-row bin codes in the smallest
   unsigned dtype (NaN and out-of-range rows get a sentinel bin), so a
-  numeric histogram is a ``compress`` plus an ``np.bincount``, exactly
-  like a categorical one, instead of a sort of the gathered values.
+  numeric histogram is a gather plus an ``np.bincount``, exactly like a
+  categorical one, instead of a sort of the gathered values.
+* **Sorted rows of a recurring filter** — for a categorical filter whose
+  mask is already cached and a numeric column, the dataset keeps the
+  filter's row ids sorted by that column, in the smallest unsigned dtype
+  that indexes its rows, plus the column's values in the same order
+  (:meth:`Dataset.sorted_rows`).  A drill-down filter ``driver ∧ lo <=
+  column < hi`` then selects a contiguous slice of those row ids, found
+  by two binary searches, without touching the other rows.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import InvalidParameterError, SchemaError
 from repro.exploration.engine import (
     DEFAULT_HISTOGRAM_CACHE_SIZE,
+    DEFAULT_MASK_CACHE_BUDGET_BYTES,
+    DEFAULT_MASK_CACHE_SIZE,
     DEFAULT_TEST_CACHE_SIZE,
     LRUCache,
     mask_cache_entries,
@@ -51,7 +60,7 @@ from repro.exploration.engine import (
 )
 from repro.rng import SeedLike, as_generator
 
-__all__ = ["ColumnType", "Column", "Dataset", "MAX_BINS"]
+__all__ = ["ColumnType", "Column", "Dataset", "SortedRows", "MAX_BINS"]
 
 #: Most bins a numeric histogram may have.  Edges and labels are built per
 #: bin, so the bound keeps a requested bin count from sizing allocations.
@@ -63,6 +72,28 @@ class ColumnType(enum.Enum):
 
     CATEGORICAL = "categorical"
     NUMERIC = "numeric"
+
+
+class SortedRows(NamedTuple):
+    """A filter's row ids sorted by one numeric column's values.
+
+    ``values[i]`` is that column's value at row ``row_ids[i]``; NaN sorts
+    last.  Both arrays are read-only.
+    """
+
+    row_ids: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held, for the sorted-rows cache's byte budget."""
+        return self.row_ids.nbytes + self.values.nbytes
+
+    def between(self, lo: float, hi: float) -> np.ndarray:
+        """Row ids whose value ``v`` has ``lo <= v < hi`` (never NaN)."""
+        values = self.values
+        return self.row_ids[np.searchsorted(values, lo):
+                            np.searchsorted(values, hi)]
 
 
 class _ColumnStore:
@@ -305,6 +336,9 @@ class Dataset:
         self._edges_cache: dict[tuple[str, int], np.ndarray] = {}
         # Bin codes are n_rows bytes each, like masks: same byte budget.
         self._bin_codes_cache = LRUCache(mask_cache_entries(n_rows))
+        # Entries follow their filter's selectivity, so bound their bytes.
+        self._sorted_rows_cache = LRUCache(
+            DEFAULT_MASK_CACHE_SIZE, maxbytes=DEFAULT_MASK_CACHE_BUDGET_BYTES)
         self._minmax_cache: dict[str, tuple[float, float]] = {}
 
     @classmethod
@@ -547,6 +581,46 @@ class Dataset:
         codes.setflags(write=False)
         self._bin_codes_cache.put(key, codes)
         return codes
+
+    def sorted_rows(self, driver, name: str) -> SortedRows | None:
+        """*driver*'s row ids sorted by numeric column *name* (cached).
+
+        *driver* is a normalized ``Eq`` or ``In`` over a categorical
+        column.  An entry is built only when the driver's mask is already
+        in the mask cache, i.e. the driver recurs: on its first use, and
+        when *name* is not a numeric column, an unhashable driver, or an
+        entry over the cache's byte budget, this returns ``None`` and the
+        caller evaluates the filter's mask instead.  The mask is fetched
+        through ``driver.mask``; the sort runs outside any cache lock, as
+        masks are built, and ties may sort in any order.
+        """
+        key = (driver, name)
+        try:
+            cached = self._sorted_rows_cache.get(key)
+            if cached is not None:
+                return cached
+            if driver not in self._mask_cache:
+                return None
+        except TypeError:  # unhashable predicate payload
+            return None
+        store = self._stores.get(name)
+        if (store is None or store.ctype is not ColumnType.NUMERIC
+                or not self.is_categorical(driver.column)):
+            return None
+        row_ids = np.flatnonzero(driver.mask(self))
+        id_dtype = np.min_scalar_type(max(self._n_rows - 1, 0))
+        values = self.column(name).values
+        if row_ids.size * (id_dtype.itemsize + values.itemsize) > (
+                self._sorted_rows_cache.maxbytes):
+            return None
+        values = values.take(row_ids)
+        order = np.argsort(values)
+        rows = SortedRows(row_ids.take(order).astype(id_dtype),
+                          values.take(order))
+        rows.row_ids.setflags(write=False)
+        rows.values.setflags(write=False)
+        self._sorted_rows_cache.put(key, rows)
+        return rows
 
     def _minmax(self, name: str, col: Column) -> tuple[float, float]:
         cached = self._minmax_cache.get(name)

@@ -24,15 +24,26 @@ so the engine memoizes them:
   p-value is bit-identical however often the panel is shown;
 * numeric histograms push down through a fourth LRU of per-row **bin
   codes** per ``(column, bin edges)``, built lazily on first use, so
-  every histogram — categorical or numeric — is a ``compress`` gather
-  through the cached mask plus one ``np.bincount``;
+  every histogram — categorical or numeric — is one ``np.bincount`` over
+  a gather of small integer codes;
+* a fifth LRU, the **sorted-rows cache**, serves drill-down filters: a
+  normalized ``And`` of one categorical ``Eq``/``In`` (the *driver*) and
+  one numeric ``Range``.  Keyed by ``(driver, range column)``, an entry
+  holds the driver's row ids sorted by that column, plus the column's
+  values in the same order, so the range is two binary searches and the
+  histogram's gather is a ``take`` of a slice of row ids instead of a
+  ``compress`` through a fresh full-length mask (late materialization).
+  An entry is built only for a driver that recurs — one whose mask is
+  already cached — and the cache is bounded by
+  :data:`DEFAULT_MASK_CACHE_BUDGET_BYTES` rather than an entry count,
+  because an entry's size follows its driver's selectivity;
 * cache entries never need invalidation: column codes are immutable and
   the caches live on the dataset object itself, so a new view or permuted
   copy starts with empty caches and a stale hit is impossible (the
   **generation token** each dataset gets at construction is a unique
   per-content identifier for diagnostics, not a cache-key field);
-* cached masks are marked read-only before they are shared, so aliasing
-  bugs surface as ``ValueError: assignment destination is read-only``
+* cached masks and sorted rows are marked read-only before they are
+  shared, so aliasing bugs surface as ``ValueError: assignment destination is read-only``
   instead of silent corruption.
 
 Predicates with unhashable payloads (e.g. ``Eq("c", [1, 2])``) simply
@@ -98,13 +109,17 @@ class LRUCache:
     """Tiny bounded LRU map used for the per-dataset engine caches.
 
     ``hits``/``misses`` count ``get`` outcomes; the service layer reports
-    them as the cross-session sharing rate on registered datasets.
+    them as the cross-session sharing rate on registered datasets.  With
+    *maxbytes*, values must expose ``nbytes`` and the least recently used
+    entries are also evicted while their total exceeds it.
     """
 
-    __slots__ = ("maxsize", "_data", "hits", "misses")
+    __slots__ = ("maxsize", "maxbytes", "nbytes", "_data", "hits", "misses")
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int, maxbytes: int | None = None) -> None:
         self.maxsize = int(maxsize)
+        self.maxbytes = maxbytes
+        self.nbytes = 0
         self._data: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -123,16 +138,27 @@ class LRUCache:
 
     def put(self, key: Hashable, value) -> None:
         data = self._data
+        if self.maxbytes is not None:
+            old = data.get(key)
+            self.nbytes += value.nbytes - (0 if old is None else old.nbytes)
         data[key] = value
         data.move_to_end(key)
-        while len(data) > self.maxsize:
-            data.popitem(last=False)
+        while data and (len(data) > self.maxsize or (
+                self.maxbytes is not None and self.nbytes > self.maxbytes)):
+            _, evicted = data.popitem(last=False)
+            if self.maxbytes is not None:
+                self.nbytes -= evicted.nbytes
+
+    def __contains__(self, key: Hashable) -> bool:
+        """Membership without promoting *key* or counting a hit or miss."""
+        return key in self._data
 
     def __len__(self) -> int:
         return len(self._data)
 
     def clear(self) -> None:
         self._data.clear()
+        self.nbytes = 0
 
 
 class ThreadSafeLRUCache(LRUCache):
@@ -150,8 +176,8 @@ class ThreadSafeLRUCache(LRUCache):
 
     __slots__ = ("_lock",)
 
-    def __init__(self, maxsize: int) -> None:
-        super().__init__(maxsize)
+    def __init__(self, maxsize: int, maxbytes: int | None = None) -> None:
+        super().__init__(maxsize, maxbytes)
         self._lock = make_lock("engine.cache")
 
     def get(self, key: Hashable):
@@ -161,6 +187,10 @@ class ThreadSafeLRUCache(LRUCache):
     def put(self, key: Hashable, value) -> None:
         with self._lock:
             super().put(key, value)
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return super().__contains__(key)
 
     def __len__(self) -> int:
         with self._lock:
@@ -172,18 +202,21 @@ class ThreadSafeLRUCache(LRUCache):
 
 
 def ensure_thread_safe_caches(dataset) -> None:
-    """Swap *dataset*'s mask/histogram/test/bin-code caches for thread-safe ones.
+    """Swap *dataset*'s engine caches for thread-safe ones.
 
+    That is the mask, histogram, test, bin-code and sorted-rows caches.
     Existing entries and capacities are preserved, so warmed caches stay
     warm.  Idempotent; safe to call on datasets that never see a second
     thread (the lock adds ~100 ns per probe).
     """
-    for attr in ("_mask_cache", "_hist_cache", "_test_cache", "_bin_codes_cache"):
+    for attr in ("_mask_cache", "_hist_cache", "_test_cache",
+                 "_bin_codes_cache", "_sorted_rows_cache"):
         cache = getattr(dataset, attr, None)
         if cache is None or isinstance(cache, ThreadSafeLRUCache):
             continue
-        safe = ThreadSafeLRUCache(cache.maxsize)
+        safe = ThreadSafeLRUCache(cache.maxsize, cache.maxbytes)
         safe._data.update(cache._data)
+        safe.nbytes = cache.nbytes
         safe.hits, safe.misses = cache.hits, cache.misses
         setattr(dataset, attr, safe)
 

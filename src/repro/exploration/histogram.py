@@ -12,7 +12,12 @@ Aggregation is pushed down onto the column store: every histogram is one
 ``np.bincount`` over small integer codes — dictionary codes for
 categorical attributes, the dataset's cached per-row bin codes
 (:meth:`~repro.exploration.dataset.Dataset.bin_codes`) for numeric ones —
-gathered through the predicate's memoized mask with ``compress``.
+gathered in one of two ways.  A drill-down filter, the normalized ``And``
+of a recurring categorical ``Eq``/``In`` and a numeric ``Range``, takes
+the codes at a slice of the driver's sorted row ids
+(:meth:`~repro.exploration.dataset.Dataset.sorted_rows`), so no
+full-length mask is built; every other filter gathers them through its
+memoized mask with ``compress``.  Both give the same counts.
 Results are memoized on the dataset's histogram cache under the
 predicate's normalized form, so a session re-showing a panel, rule 2
 re-deriving the unfiltered reference distribution, or the heuristics
@@ -30,7 +35,7 @@ import numpy as np
 from repro.errors import InsufficientDataError, InvalidParameterError
 from repro.exploration.dataset import ColumnType, Dataset
 from repro.exploration.engine import cached_histogram
-from repro.exploration.predicate import Predicate, TRUE
+from repro.exploration.predicate import And, Eq, In, Predicate, Range, TRUE
 
 __all__ = ["Histogram", "categorical_histogram", "numeric_histogram", "histogram_for"]
 
@@ -86,10 +91,35 @@ class Histogram:
 
 def _counts_under(codes: np.ndarray, predicate: Predicate, dataset: Dataset,
                   minlength: int) -> np.ndarray:
-    """``np.bincount`` of *codes* over the rows *predicate* selects."""
+    """``np.bincount`` of *codes* over the rows normalized *predicate* selects."""
     if not predicate.is_trivial():
-        codes = codes.compress(predicate.mask(dataset))
+        rows = _drilldown_rows(predicate, dataset)
+        if rows is None:
+            codes = codes.compress(predicate.mask(dataset))
+        else:
+            codes = codes.take(rows)
     return np.bincount(codes, minlength=minlength)
+
+
+def _drilldown_rows(predicate: Predicate, dataset: Dataset) -> np.ndarray | None:
+    """Row ids a drill-down filter selects, read from its driver's sorted rows.
+
+    ``None`` unless *predicate* is ``And((driver, Range))`` with a
+    categorical ``Eq``/``In`` driver that recurs and numeric bounds; the
+    caller then takes the mask path, which also raises whatever an invalid
+    filter raises.
+    """
+    if not isinstance(predicate, And) or len(predicate.operands) != 2:
+        return None
+    driver, bounds = predicate.operands
+    if isinstance(driver, Range):
+        driver, bounds = bounds, driver
+    if not (isinstance(driver, (Eq, In)) and isinstance(bounds, Range)
+            and isinstance(bounds.lo, (int, float))
+            and isinstance(bounds.hi, (int, float))):
+        return None
+    rows = dataset.sorted_rows(driver, bounds.column)
+    return None if rows is None else rows.between(bounds.lo, bounds.hi)
 
 
 def _described_by(hist: Histogram, predicate: Predicate) -> Histogram:

@@ -352,6 +352,11 @@ class ExplorationSession:
         return self._procedure
 
     @property
+    def bins(self) -> int:
+        """Bin count of every numeric panel this session shows."""
+        return self._default_bins
+
+    @property
     def wealth(self) -> float:
         """Remaining α-wealth (``nan`` for procedures without a ledger)."""
         return getattr(self._procedure, "wealth", float("nan"))

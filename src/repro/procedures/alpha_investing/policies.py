@@ -177,7 +177,9 @@ class EpsilonHybrid(InvestingPolicy):
 
     Randomness is estimated as the rejection ratio over a sliding window of
     the last *window* tested hypotheses (``None`` = unlimited, the setting
-    used in the paper's experiments).  Ratio ≤ ε ⇒ the data looks random ⇒
+    used in the paper's experiments).  A running count of the window's
+    rejections keeps each decision O(1) however long the session.
+    Ratio ≤ ε ⇒ the data looks random ⇒
     take the conservative γ-fixed budget; ratio > ε ⇒ discoveries are
     frequent ⇒ take the optimistic δ-hopeful budget re-invested from the
     last rejection.
@@ -203,13 +205,14 @@ class EpsilonHybrid(InvestingPolicy):
         self.delta = float(delta)
         self.window = window
         self._outcomes: deque[bool] = deque(maxlen=window)
+        self._rejections = 0  # rejections among self._outcomes
         self._wealth_at_last_rejection: float | None = None
 
     def rejection_ratio(self) -> float:
         """Fraction of rejections in the current window (0.0 when empty)."""
         if not self._outcomes:
             return 0.0
-        return sum(self._outcomes) / len(self._outcomes)
+        return self._rejections / len(self._outcomes)
 
     def desired_budget(
         self, ledger: WealthLedger, index: int, support_fraction: float
@@ -225,12 +228,17 @@ class EpsilonHybrid(InvestingPolicy):
         return min(ledger.alpha, w_star / (self.delta + w_star))
 
     def record_outcome(self, ledger: WealthLedger, index: int, rejected: bool) -> None:
-        self._outcomes.append(rejected)
+        outcomes = self._outcomes
+        if len(outcomes) == outcomes.maxlen and outcomes[0]:
+            self._rejections -= 1  # the append below evicts a rejection
+        outcomes.append(rejected)
         if rejected:
+            self._rejections += 1
             self._wealth_at_last_rejection = ledger.wealth
 
     def reset(self) -> None:
         self._outcomes = deque(maxlen=self.window)
+        self._rejections = 0
         self._wealth_at_last_rejection = None
 
     def __repr__(self) -> str:  # pragma: no cover

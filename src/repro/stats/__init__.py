@@ -12,10 +12,10 @@ size for the gauge, and the ``n_H1`` "how much more data" annotation:
   magnitude labels shown in the AWARE gauge (Fig. 2).
 * :mod:`repro.stats.power` — the paper's ``n_H1`` estimates (Sec. 3) and
   the Sec. 4.1 hold-out power comparison.
-* :mod:`repro.stats.descriptive` — pooled variance and count proportions.
+* :mod:`repro.stats.descriptive` — the pooled variance.
 """
 
-from repro.stats.descriptive import pooled_variance, proportions
+from repro.stats.descriptive import pooled_variance
 from repro.stats.distributions import ChiSquared, Normal, StudentT
 from repro.stats.effect_size import (
     EffectMagnitude,
@@ -63,7 +63,6 @@ __all__ = [
     "holdout_combined_power",
     "pooled_variance",
     "power_t_test_two_sample",
-    "proportions",
     "t_test_two_sample",
     "z_test_from_statistic",
 ]

@@ -1,18 +1,14 @@
-"""Descriptive statistics: pooled variance and count proportions.
-
-:func:`pooled_variance` backs the Student t-test; :func:`proportions`
-normalizes a count vector into a probability vector.
-"""
+"""Descriptive statistics: the pooled variance behind the Student t-test."""
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import InsufficientDataError, InvalidParameterError
+from repro.errors import InsufficientDataError
 
-__all__ = ["pooled_variance", "proportions"]
+__all__ = ["pooled_variance"]
 
 
 def pooled_variance(x: Sequence[float], y: Sequence[float]) -> float:
@@ -25,20 +21,3 @@ def pooled_variance(x: Sequence[float], y: Sequence[float]) -> float:
     vy = y.var(ddof=1)
     return float(((len(x) - 1) * vx + (len(y) - 1) * vy) / (len(x) + len(y) - 2))
 
-
-def proportions(counts: Mapping[Hashable, int] | Sequence[int]) -> np.ndarray:
-    """Normalize counts into a probability vector.
-
-    Raises :class:`InsufficientDataError` if the total count is zero, since
-    an empty sub-population cannot define a distribution.
-    """
-    if isinstance(counts, Mapping):
-        arr = np.asarray(list(counts.values()), dtype=float)
-    else:
-        arr = np.asarray(counts, dtype=float)
-    if np.any(arr < 0):
-        raise InvalidParameterError("counts must be non-negative")
-    total = arr.sum()
-    if total <= 0:
-        raise InsufficientDataError("cannot form proportions from zero total count")
-    return arr / total

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import repro.api.service as service_module
@@ -15,7 +16,7 @@ from repro.api.protocol import (
 from repro.api.service import ExplorationService
 from repro.errors import InvalidParameterError
 from repro.exploration.export import session_to_dict
-from repro.exploration.predicate import TRUE, And, Eq, Not
+from repro.exploration.predicate import TRUE, And, Eq, Not, Range
 from repro.service import SessionManager
 from repro.workloads.census import make_census
 
@@ -345,9 +346,82 @@ class TestDecisionLogParity:
         assert via_service == manager.decision_log_bytes(direct)
 
 
+class TestNumericBinsAreTheSessions:
+    """A session bins every numeric attribute with its own ``bins``: a show
+    asking for other bins is refused, and every response reports the bins
+    its histogram has."""
+
+    FEMALE = {"op": "eq", "column": "sex", "value": "Female"}
+
+    def _show(self, service, sid, attribute, bins, v=1):
+        return service.handle_dict({"v": v, "cmd": "show", "session_id": sid,
+                                    "attribute": attribute, "bins": bins,
+                                    "where": self.FEMALE})
+
+    def test_numeric_show_with_other_bins_is_invalid(self, service):
+        sid = _create(service)
+        env = self._show(service, sid, "age", 5)
+        assert env["error"]["code"] == "INVALID_PARAMETER", env
+        commands = [
+            {"cmd": "show", "session_id": sid, "attribute": attribute,
+             "bins": bins, "where": self.FEMALE}
+            for attribute, bins in (("hours_per_week", 3), ("age", 10))
+        ]
+        slots = service.handle_dict({
+            "v": 2, "cmd": "pipeline", "failure_policy": "continue",
+            "commands": commands,
+        })["result"]["slots"]
+        assert slots[0]["error"]["code"] == "INVALID_PARAMETER"
+        assert slots[1]["ok"], slots
+        # Neither refused show reached the session.
+        assert len(service.manager.session(sid).history()) == 1
+
+    @pytest.mark.parametrize("bins", [None, 10])
+    def test_numeric_panel_reports_the_sessions_bins(self, service, bins):
+        sid = _create(service)
+        result = self._show(service, sid, "age", bins)["result"]
+        assert result["visualization"]["bins"] == 10
+        assert len(result["histogram"]["counts"]) == 10
+
+    def test_categorical_panel_reports_its_category_count(self, service, census):
+        sid = _create(service)
+        result = self._show(service, sid, "education", 3)["result"]
+        categories = len(census.categories("education"))
+        assert result["visualization"]["bins"] == categories
+        assert len(result["histogram"]["counts"]) == categories
+
+    def test_legacy_entry_with_other_bins_replays(self, census, tmp_path):
+        """A store written before the check, holding ``bins: 5`` on a
+        numeric attribute, recovers to the decisions it recorded."""
+        from repro.store import make_store
+
+        path = tmp_path / "store"
+        manager = SessionManager(store=make_store("jsonl", path))
+        manager.register_dataset(census, name="census")
+        sid = manager.create_session("census")
+        # What the service executed for such a show before refusing it.
+        for attribute, bins in (("age", 5), ("education", 3), ("age", None)):
+            manager.show(sid, attribute, where=Eq("sex", "Female"), bins=bins)
+        manager.show(sid, "age", where=Not(Eq("sex", "Female")), bins=5)
+        shows = [e["cmd"] for e in manager.store.load(sid).entries]
+        assert [c["bins"] for c in shows] == [5, 3, None, 5]
+        recorded = manager.decision_log_bytes(sid)
+        manager.store.close()
+
+        recovered = SessionManager(store=make_store("jsonl", path))
+        recovered.register_dataset(census, name="census")
+        try:
+            assert recovered.recover_all()["failed"] == {}
+            assert recovered.decision_log_bytes(sid) == recorded
+        finally:
+            recovered.store.close()
+
+
 class TestFreshFilterEvaluatedOnce:
     """A fresh filter is masked and binned once per show, whatever the
-    operand order the wire spelled it in."""
+    operand order the wire spelled it in; a drill-down filter whose
+    category filter recurs is binned from that filter's sorted rows
+    without masking at all."""
 
     @pytest.mark.parametrize("attribute", ["salary_over_50k", "hours_per_week"])
     def test_fresh_and_show_masks_and_bins_once(self, attribute, monkeypatch):
@@ -389,3 +463,19 @@ class TestFreshFilterEvaluatedOnce:
         assert env["result"]["histogram"]["filter"] == (
             "(education = Bachelor) and (25 <= age < 45)"
         )
+
+        # The same category filter under a new range: its rows are read
+        # from the cached sorted rows, so nothing is masked.
+        where["operands"][1] = {"op": "range", "column": "age",
+                                "lo": 30.0, "hi": 50.0}
+        env = service.handle_dict({"v": 1, "cmd": "show", "session_id": sid,
+                                   "attribute": attribute, "where": where})
+        assert env["ok"], env
+        assert len(and_masks) == 1
+        assert len(filtered_builds) == 2
+        # A select-all view has empty caches, so it takes the mask path.
+        census = service.manager.dataset("census")
+        fresh = census.select(np.ones(census.n_rows, dtype=bool))
+        expected = histogram_module.histogram_for(fresh, attribute, And(
+            (Eq("education", "Bachelor"), Range("age", 30.0, 50.0))))
+        assert env["result"]["histogram"]["counts"] == list(expected.counts)

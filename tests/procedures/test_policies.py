@@ -1,6 +1,8 @@
 """The five investing rules: budget algebra and stateful behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.procedures.alpha_investing.policies import (
@@ -182,6 +184,27 @@ class TestEpsilonHybrid:
     def test_unlimited_window_default(self):
         policy = EpsilonHybrid()
         assert policy.window is None
+
+    @given(window=st.none() | st.integers(1, 50),
+           events=st.lists(st.sampled_from([True, False, "reset"]),
+                           max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_running_ratio_equals_the_windowed_sum(self, window, events):
+        """The running rejection count gives exactly the ratio that summing
+        the window's outcomes gives, so every decision stays the same."""
+        ledger = fresh_ledger()
+        policy = EpsilonHybrid(window=window)
+        seen: list[bool] = []
+        for index, event in enumerate(events):
+            if event == "reset":
+                policy.reset()
+                seen = []
+            else:
+                policy.record_outcome(ledger, index, rejected=event)
+                seen.append(event)
+            kept = seen if window is None else seen[-window:]
+            expected = sum(kept) / len(kept) if kept else 0.0
+            assert policy.rejection_ratio() == expected
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -1,10 +1,9 @@
-"""Descriptive statistics: pooled variance and proportions."""
+"""Descriptive statistics: the pooled variance."""
 
-import numpy as np
 import pytest
 
-from repro.errors import InsufficientDataError, InvalidParameterError
-from repro.stats.descriptive import pooled_variance, proportions
+from repro.errors import InsufficientDataError
+from repro.stats.descriptive import pooled_variance
 
 
 class TestPooledVariance:
@@ -18,18 +17,3 @@ class TestPooledVariance:
         with pytest.raises(InsufficientDataError):
             pooled_variance([1.0], [1.0, 2.0])
 
-
-class TestProportions:
-    def test_normalizes(self):
-        np.testing.assert_allclose(proportions([2, 3, 5]), [0.2, 0.3, 0.5])
-
-    def test_accepts_mapping(self):
-        np.testing.assert_allclose(proportions({"x": 1, "y": 3}), [0.25, 0.75])
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            proportions([0, 0])
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            proportions([1, -1])
