@@ -43,8 +43,8 @@ so the engine memoizes them:
   **generation token** each dataset gets at construction is a unique
   per-content identifier for diagnostics, not a cache-key field);
 * cached masks and sorted rows are marked read-only before they are
-  shared, so aliasing bugs surface as ``ValueError: assignment destination is read-only``
-  instead of silent corruption.
+  shared, so aliasing bugs surface as ``ValueError: assignment
+  destination is read-only`` instead of silent corruption.
 
 Predicates with unhashable payloads (e.g. ``Eq("c", [1, 2])``) simply
 bypass the caches; correctness never depends on a cache hit.
@@ -204,9 +204,9 @@ class ThreadSafeLRUCache(LRUCache):
 def ensure_thread_safe_caches(dataset) -> None:
     """Swap *dataset*'s engine caches for thread-safe ones.
 
-    That is the mask, histogram, test, bin-code and sorted-rows caches.
-    Existing entries and capacities are preserved, so warmed caches stay
-    warm.  Idempotent; safe to call on datasets that never see a second
+    The mask, histogram, test, bin-code and sorted-rows caches are swapped;
+    their entries, capacities and byte counts are preserved, so warmed
+    caches stay warm.  Idempotent; safe to call on datasets that never see a second
     thread (the lock adds ~100 ns per probe).
     """
     for attr in ("_mask_cache", "_hist_cache", "_test_cache",

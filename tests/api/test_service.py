@@ -353,8 +353,8 @@ class TestNumericBinsAreTheSessions:
 
     FEMALE = {"op": "eq", "column": "sex", "value": "Female"}
 
-    def _show(self, service, sid, attribute, bins, v=1):
-        return service.handle_dict({"v": v, "cmd": "show", "session_id": sid,
+    def _show(self, service, sid, attribute, bins):
+        return service.handle_dict({"v": 1, "cmd": "show", "session_id": sid,
                                     "attribute": attribute, "bins": bins,
                                     "where": self.FEMALE})
 
