@@ -95,10 +95,14 @@ def test_session_show_latency(benchmark, bench_census):
 
 def test_session_show_drilldown_latency(benchmark, drilldown_census):
     """One never-repeating ``And(Eq, Range)`` panel: every show misses the
-    mask, histogram and test caches, so this times the engine's miss path.
+    histogram and test caches, so this times the engine's miss path.
 
     Targets alternate a numeric and a categorical attribute, so both
-    histogram kinds are timed.
+    histogram kinds are timed.  Each category filter is shown twice before
+    timing starts: its first use masks all rows and its second sorts the
+    filter's rows for every later show, which an analyst pays once per
+    filter, not per panel.  So the mean is the steady drill-down, and a
+    fall back to masking every row shows as a several-fold regression.
     """
     session = ExplorationSession(drilldown_census, procedure="beta-farsighted")
     # Categories of at least ~15% of rows, so every filter selects rows.
@@ -108,6 +112,10 @@ def test_session_show_drilldown_latency(benchmark, drilldown_census):
         ("marital_status", "Married"), ("marital_status", "Never Married"),
     ]
     targets = ("hours_per_week", "salary_over_50k")
+    for column, value in filters:
+        for lo in (25.0, 45.0):
+            session.show(targets[1], where=And((Eq(column, value),
+                                                Range("age", lo, lo + 10.0))))
     rng = np.random.default_rng(0)
     state = {"i": 0}
 
