@@ -170,8 +170,9 @@ class ThreadSafeLRUCache(LRUCache):
     sessions will share, because concurrent ``get``/``put`` on an
     ``OrderedDict`` can corrupt its internal ordering (``move_to_end`` of
     an evicted key, interleaved evictions).  One mutex per cache is enough:
-    entries are immutable (read-only masks, frozen histograms and test
-    results), so the critical section is just the bookkeeping.
+    entries are immutable (read-only masks and sorted rows, frozen
+    histograms and test results), so the critical section is just the
+    bookkeeping.
     """
 
     __slots__ = ("_lock",)
@@ -206,8 +207,8 @@ def ensure_thread_safe_caches(dataset) -> None:
 
     The mask, histogram, test, bin-code and sorted-rows caches are swapped;
     their entries, capacities and byte counts are preserved, so warmed
-    caches stay warm.  Idempotent; safe to call on datasets that never see a second
-    thread (the lock adds ~100 ns per probe).
+    caches stay warm.  Idempotent; safe to call on datasets that never see
+    a second thread (the lock adds ~100 ns per probe).
     """
     for attr in ("_mask_cache", "_hist_cache", "_test_cache",
                  "_bin_codes_cache", "_sorted_rows_cache"):

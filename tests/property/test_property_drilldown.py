@@ -9,9 +9,9 @@ tables, with NaN, ±inf, ties and empty selections in the range column,
 base tables and ``select`` views, those counts must equal
 ``np.bincount(codes.compress(mask))`` through the mask path and a naive
 per-row count, for categorical targets and for numeric targets binned
-through bin codes with their out-of-range sentinel.  Filters of any
-other shape, and invalid ones, must still raise what the mask path
-raises.
+through bin codes with their out-of-range sentinel.  An invalid
+drill-down filter must still raise what the mask path raises, with its
+driver cached.
 """
 
 from __future__ import annotations
