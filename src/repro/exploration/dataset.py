@@ -32,19 +32,26 @@ latency (Sec. 3's ~100 ms-per-gesture budget):
   unsigned dtype (NaN and out-of-range rows get a sentinel bin), so a
   numeric histogram is a gather plus an ``np.bincount``, exactly like a
   categorical one, instead of a sort of the gathered values.
-* **Sorted rows of a recurring filter** — for a categorical filter whose
-  mask is already cached and a numeric column, the dataset keeps the
-  filter's row ids sorted by that column, in the smallest unsigned dtype
-  that indexes its rows, plus the column's values in the same order
-  (:meth:`Dataset.sorted_rows`).  A drill-down filter ``driver ∧ lo <=
-  column < hi`` then selects a contiguous slice of those row ids, found
-  by two binary searches, without touching the other rows.
+* **Sorted rows of a recurring filter, with prefix counts** — for a
+  categorical filter whose mask is already cached and a numeric column,
+  the dataset keeps the filter's row ids sorted by that column, in the
+  smallest unsigned dtype that indexes its rows, plus the column's values
+  in the same order (:meth:`Dataset.sorted_rows`).  A drill-down filter
+  ``driver ∧ lo <= column < hi`` selects a contiguous slice of those row
+  ids, found by two binary searches.  For each target code array it is
+  histogrammed over, the entry also keeps a read-only table of the
+  target's cumulative code counts at every block boundary of that row
+  order (:meth:`SortedRows.prefix_counts`), so the slice's histogram is
+  one subtraction of two table rows plus a bincount of the codes at its
+  two ragged ends (:meth:`Dataset.range_counts`): O(bins + block) work,
+  however many rows the filter keeps.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,26 +81,77 @@ class ColumnType(enum.Enum):
     NUMERIC = "numeric"
 
 
+def prefix_block(n_codes: int) -> int:
+    """Positions per block of a prefix-count table over *n_codes* codes.
+
+    A table holds one row of ``n_codes`` counts per block, so a block of
+    at least ``64 * n_codes`` positions keeps a 1,024-bin target's table
+    as small as a 10-bin one's, while a query bincounts fewer than two
+    blocks of codes.
+    """
+    return max(1024, 64 * n_codes)
+
+
 class SortedRows(NamedTuple):
     """A filter's row ids sorted by one numeric column's values.
 
     ``values[i]`` is that column's value at row ``row_ids[i]``; NaN sorts
-    last.  Both arrays are read-only.
+    last.  ``tables`` maps a target's key to its prefix-count table over
+    this row order (:meth:`prefix_counts`); a table is valid only for the
+    row order it was built from, so it lives in the entry it was built
+    for.  All arrays are read-only, and an entry never changes: adding a
+    table makes a new entry that shares ``row_ids`` and ``values``.
     """
 
     row_ids: np.ndarray
     values: np.ndarray
+    tables: Mapping = MappingProxyType({})
 
     @property
     def nbytes(self) -> int:
         """Bytes held, for the sorted-rows cache's byte budget."""
-        return self.row_ids.nbytes + self.values.nbytes
+        return self.row_ids.nbytes + self.values.nbytes + sum(
+            table.nbytes for table in self.tables.values())
 
-    def between(self, lo: float, hi: float) -> np.ndarray:
-        """Row ids whose value ``v`` has ``lo <= v < hi`` (never NaN)."""
-        values = self.values
-        return self.row_ids[np.searchsorted(values, lo):
-                            np.searchsorted(values, hi)]
+    def prefix_counts(self, codes: np.ndarray, n_codes: int) -> np.ndarray:
+        """Cumulative counts of *codes* at every block boundary of this order.
+
+        Row ``k`` of the read-only result is ``np.bincount`` of
+        ``codes[row_ids[:k * block]]`` with ``minlength=n_codes``, for
+        ``block = prefix_block(n_codes)``.
+        """
+        block = prefix_block(n_codes)
+        n_blocks = self.row_ids.size // block
+        blocked = codes.take(self.row_ids[:n_blocks * block]).reshape(n_blocks, block)
+        per_block = np.bincount(
+            (blocked + np.arange(n_blocks)[:, None] * n_codes).ravel(),
+            minlength=n_blocks * n_codes).reshape(n_blocks, n_codes)
+        table = np.zeros((n_blocks + 1, n_codes),
+                         dtype=np.min_scalar_type(self.row_ids.size))
+        np.cumsum(per_block, axis=0, out=table[1:], dtype=table.dtype)
+        table.setflags(write=False)
+        return table
+
+    def counts(self, table: np.ndarray, codes: np.ndarray, lo: float,
+               hi: float) -> np.ndarray:
+        """``np.bincount`` of *codes* at the rows whose value ``v`` has
+        ``lo <= v < hi`` (never NaN), from their prefix-count *table*.
+
+        The block boundaries inside the range answer by one subtraction of
+        two table rows; only the codes at the two ragged ends, fewer than
+        a block each, are gathered and counted.
+        """
+        n_codes = table.shape[1]
+        block = prefix_block(n_codes)
+        ja, jb = self.values.searchsorted((lo, hi))
+        ka, kb = -(-ja // block), jb // block
+        if ka > kb:  # no block boundary inside the range
+            return np.bincount(codes.take(self.row_ids[ja:jb]), minlength=n_codes)
+        ends = np.concatenate((self.row_ids[ja:ka * block],
+                               self.row_ids[kb * block:jb]))
+        counts = np.bincount(codes.take(ends), minlength=n_codes)
+        counts += table[kb] - table[ka]
+        return counts
 
 
 class _ColumnStore:
@@ -592,7 +650,8 @@ class Dataset:
         entry over the cache's byte budget, this returns ``None`` and the
         caller evaluates the filter's mask instead.  The mask is fetched
         through ``driver.mask``; the sort runs outside any cache lock, as
-        masks are built, and ties may sort in any order.
+        masks are built, and ties may sort in any order, which is why an
+        entry carries the prefix-count tables built over its own order.
         """
         key = (driver, name)
         try:
@@ -621,6 +680,31 @@ class Dataset:
         rows.values.setflags(write=False)
         self._sorted_rows_cache.put(key, rows)
         return rows
+
+    def range_counts(self, driver, name: str, lo: float, hi: float,
+                     target: Hashable, codes: np.ndarray,
+                     n_codes: int) -> np.ndarray | None:
+        """``np.bincount`` of *codes* over the rows ``driver ∧ lo <= name < hi``
+        selects, or ``None`` when :meth:`sorted_rows` has no entry for them.
+
+        *codes* are the target's per-row codes (``minlength`` *n_codes*)
+        and *target* names them: the entry's prefix-count table for
+        *target* is built on its first use and stored by putting a new
+        entry, with the table, in place of the one it was built from, so
+        the cache's byte count stays the sum of its entries'.  An entry
+        that would grow over the byte budget serves the table uncached.
+        """
+        rows = self.sorted_rows(driver, name)
+        if rows is None:
+            return None
+        table = rows.tables.get(target)
+        if table is None:
+            table = rows.prefix_counts(codes, n_codes)
+            grown = rows._replace(
+                tables=MappingProxyType({**rows.tables, target: table}))
+            if grown.nbytes <= self._sorted_rows_cache.maxbytes:
+                self._sorted_rows_cache.put((driver, name), grown)
+        return rows.counts(table, codes, lo, hi)
 
     def _minmax(self, name: str, col: Column) -> tuple[float, float]:
         cached = self._minmax_cache.get(name)

@@ -29,21 +29,30 @@ so the engine memoizes them:
 * a fifth LRU, the **sorted-rows cache**, serves drill-down filters: a
   normalized ``And`` of one categorical ``Eq``/``In`` (the *driver*) and
   one numeric ``Range``.  Keyed by ``(driver, range column)``, an entry
-  holds the driver's row ids sorted by that column, plus the column's
-  values in the same order, so the range is two binary searches and the
-  histogram's gather is a ``take`` of a slice of row ids instead of a
-  ``compress`` through a fresh full-length mask (late materialization).
-  An entry is built only for a driver that recurs — one whose mask is
-  already cached — and the cache is bounded by
-  :data:`DEFAULT_MASK_CACHE_BUDGET_BYTES` rather than an entry count,
-  because an entry's size follows its driver's selectivity;
+  holds the driver's row ids sorted by that column, the column's values
+  in the same order, and, per target code array, a read-only table of
+  the target's cumulative code counts at every block boundary of that
+  order.  The range is two binary searches, and its histogram is the
+  difference of two table rows plus a bincount of the codes at the two
+  ragged ends, instead of a ``compress`` through a fresh full-length
+  mask (prefix sums: range-sum cubes, Ho et al., SIGMOD 1997; Falcon,
+  Moritz et al., CHI 2019).  A table is only valid for the row order it
+  was built from, so it is stored in its entry: adding one puts a new
+  entry that shares the old one's arrays, which keeps the cache's byte
+  count the sum of its entries'.  An entry is built only for a driver
+  that recurs — one whose mask is already cached; a driver's first use
+  masks through the driver's cached mask and an uncached range mask, so
+  the mask cache keeps nothing that will not recur.  The cache is
+  bounded by :data:`DEFAULT_MASK_CACHE_BUDGET_BYTES` rather than an
+  entry count, because an entry's size follows its driver's
+  selectivity;
 * cache entries never need invalidation: column codes are immutable and
   the caches live on the dataset object itself, so a new view or permuted
   copy starts with empty caches and a stale hit is impossible (the
   **generation token** each dataset gets at construction is a unique
   per-content identifier for diagnostics, not a cache-key field);
-* cached masks and sorted rows are marked read-only before they are
-  shared, so aliasing bugs surface as ``ValueError: assignment
+* cached masks, sorted rows and prefix-count tables are marked read-only
+  before they are shared, so aliasing bugs surface as ``ValueError: assignment
   destination is read-only`` instead of silent corruption.
 
 Predicates with unhashable payloads (e.g. ``Eq("c", [1, 2])``) simply
@@ -170,9 +179,11 @@ class ThreadSafeLRUCache(LRUCache):
     sessions will share, because concurrent ``get``/``put`` on an
     ``OrderedDict`` can corrupt its internal ordering (``move_to_end`` of
     an evicted key, interleaved evictions).  One mutex per cache is enough:
-    entries are immutable (read-only masks and sorted rows, frozen
-    histograms and test results), so the critical section is just the
-    bookkeeping.
+    entries are immutable (read-only masks, sorted rows with their
+    prefix-count tables, frozen histograms and test results), so the
+    critical section is just the bookkeeping.  Two threads that add
+    tables to one sorted-rows entry at once each put a whole entry; the
+    later put wins, and the next show rebuilds the table it dropped.
     """
 
     __slots__ = ("_lock",)

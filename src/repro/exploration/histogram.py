@@ -12,12 +12,14 @@ Aggregation is pushed down onto the column store: every histogram is one
 ``np.bincount`` over small integer codes — dictionary codes for
 categorical attributes, the dataset's cached per-row bin codes
 (:meth:`~repro.exploration.dataset.Dataset.bin_codes`) for numeric ones —
-gathered in one of two ways.  A drill-down filter, the normalized ``And``
-of a recurring categorical ``Eq``/``In`` and a numeric ``Range``, takes
-the codes at a slice of the driver's sorted row ids
-(:meth:`~repro.exploration.dataset.Dataset.sorted_rows`), so no
-full-length mask is built; every other filter gathers them through its
-memoized mask with ``compress``.  Both give the same counts.
+gathered through the filter's memoized mask with ``compress``.  A
+drill-down filter, the normalized ``And`` of a recurring categorical
+``Eq``/``In`` (the driver) and a numeric ``Range``, is counted instead
+from prefix counts over the driver's sorted row ids
+(:meth:`~repro.exploration.dataset.Dataset.range_counts`): two table rows
+subtracted plus a bincount of the codes at the range's two ragged ends,
+so neither a full-length mask nor a gather of every selected row is
+built.  Both give the same counts.
 Results are memoized on the dataset's histogram cache under the
 predicate's normalized form, so a session re-showing a panel, rule 2
 re-deriving the unfiltered reference distribution, or the heuristics
@@ -90,36 +92,36 @@ class Histogram:
 
 
 def _counts_under(codes: np.ndarray, predicate: Predicate, dataset: Dataset,
-                  minlength: int) -> np.ndarray:
-    """``np.bincount`` of *codes* over the rows normalized *predicate* selects."""
-    if not predicate.is_trivial():
-        rows = _drilldown_rows(predicate, dataset)
-        if rows is None:
-            codes = codes.compress(predicate.mask(dataset))
-        else:
-            codes = codes.take(rows)
-    return np.bincount(codes, minlength=minlength)
+                  minlength: int, target: tuple) -> np.ndarray:
+    """``np.bincount`` of *codes* (named *target*) over the rows normalized
+    *predicate* selects.
 
-
-def _drilldown_rows(predicate: Predicate, dataset: Dataset) -> np.ndarray | None:
-    """Row ids a drill-down filter selects, read from its driver's sorted rows.
-
-    ``None`` unless *predicate* is ``And((driver, Range))`` with a
-    categorical ``Eq``/``In`` driver that recurs and numeric bounds; the
-    caller then takes the mask path, which also raises whatever an invalid
-    filter raises.
+    A drill-down filter, ``And((driver, Range))`` with an ``Eq``/``In``
+    driver and numeric bounds, is answered from the prefix counts over its
+    driver's sorted rows (:meth:`Dataset.range_counts`).  Until those
+    exist, its mask is the driver's cached mask and an uncached range
+    mask, evaluated in the normalized operand order, so a first use caches
+    only the driver's mask and an invalid filter raises what the mask path
+    raises.  Every other filter compresses *codes* through its cached mask.
     """
-    if not isinstance(predicate, And) or len(predicate.operands) != 2:
-        return None
-    driver, bounds = predicate.operands
-    if isinstance(driver, Range):
-        driver, bounds = bounds, driver
-    if not (isinstance(driver, (Eq, In)) and isinstance(bounds, Range)
-            and isinstance(bounds.lo, (int, float))
-            and isinstance(bounds.hi, (int, float))):
-        return None
-    rows = dataset.sorted_rows(driver, bounds.column)
-    return None if rows is None else rows.between(bounds.lo, bounds.hi)
+    if predicate.is_trivial():
+        return np.bincount(codes, minlength=minlength)
+    if isinstance(predicate, And) and len(predicate.operands) == 2:
+        driver, bounds = predicate.operands
+        if isinstance(driver, Range):
+            driver, bounds = bounds, driver
+        if (isinstance(driver, (Eq, In)) and isinstance(bounds, Range)
+                and isinstance(bounds.lo, (int, float))
+                and isinstance(bounds.hi, (int, float))):
+            counts = dataset.range_counts(driver, bounds.column, bounds.lo,
+                                          bounds.hi, target, codes, minlength)
+            if counts is not None:
+                return counts
+            mask = np.logical_and(*(
+                op.mask(dataset) if op is driver else op._compute_mask(dataset)
+                for op in predicate.operands))
+            return np.bincount(codes.compress(mask), minlength=minlength)
+    return np.bincount(codes.compress(predicate.mask(dataset)), minlength=minlength)
 
 
 def _described_by(hist: Histogram, predicate: Predicate) -> Histogram:
@@ -153,7 +155,8 @@ def categorical_histogram(
     key = predicate.cache_key()
 
     def build() -> Histogram:
-        counts = _counts_under(col.codes, key, dataset, len(col.categories))
+        counts = _counts_under(col.codes, key, dataset, len(col.categories),
+                               (attribute, None))
         return Histogram(
             attribute=attribute,
             labels=tuple(col.categories),
@@ -187,11 +190,13 @@ def numeric_histogram(
         raise InvalidParameterError("need at least 2 bins (3 edges)")
 
     key = predicate.cache_key()
+    edge_bytes = edges.tobytes()
 
     def build() -> Histogram:
         codes = dataset.bin_codes(attribute, edges)
         # The last code is the out-of-range sentinel: drop its count.
-        counts = _counts_under(codes, key, dataset, edges.size)[:-1]
+        counts = _counts_under(codes, key, dataset, edges.size,
+                               (attribute, edge_bytes))[:-1]
         labels = tuple(
             f"[{edges[i]:g}, {edges[i + 1]:g})" for i in range(edges.size - 1)
         )
@@ -202,9 +207,7 @@ def numeric_histogram(
             filter_description=predicate.describe(),
         )
 
-    hist = cached_histogram(
-        dataset, ("num", attribute, key, edges.tobytes()), build
-    )
+    hist = cached_histogram(dataset, ("num", attribute, key, edge_bytes), build)
     return _described_by(hist, predicate)
 
 

@@ -9,7 +9,9 @@ census, the session's ``bins`` and a run of shows through
 ``handle_dict``: unfiltered panels (rule 1), filtered ones (rule 2),
 negated siblings of earlier panels (rule 3), and drill-down panels
 ``And(Eq|In, Range("age"))`` whose category filter recurs, so the engine
-serves some of them from its sorted rows.  The oracle evaluates each
+serves some of them from prefix counts over its sorted rows; at the
+largest census size a category filter's rows span several of those
+counts' blocks.  The oracle evaluates each
 wire predicate on a ``materialize()``d copy into a boolean mask, then
 checks that
 
@@ -240,7 +242,7 @@ def _check(oracle: _Oracle, env: dict, attribute: str, where, bins,
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(rows=st.sampled_from([300, 800]), seed=st.integers(0, 2),
+@given(rows=st.sampled_from([300, 800, 8000]), seed=st.integers(0, 2),
        bins=st.integers(2, 12), shows=_gestures())
 def test_served_numbers_match_an_independent_oracle(rows, seed, bins, shows):
     census = _census(rows, seed)
