@@ -419,9 +419,11 @@ class TestNumericBinsAreTheSessions:
 
 class TestFreshFilterEvaluatedOnce:
     """A fresh filter is masked and binned once per show, whatever the
-    operand order the wire spelled it in; a drill-down filter whose
-    category filter recurs is binned from that filter's sorted rows
-    without masking at all."""
+    operand order the wire spelled it in.  A drill-down filter's first use
+    masks its range once, uncached, beside its category filter's cached
+    mask, and builds no ``And`` mask; once the category filter recurs,
+    the filter is binned from that filter's sorted rows without masking
+    at all."""
 
     @pytest.mark.parametrize("attribute", ["salary_over_50k", "hours_per_week"])
     def test_fresh_and_show_masks_and_bins_once(self, attribute, monkeypatch):
@@ -431,12 +433,17 @@ class TestFreshFilterEvaluatedOnce:
             {"v": 1, "cmd": "create_session", "dataset": "census"}
         )["result"]["session_id"]
 
-        and_masks = []
+        and_masks, range_masks = [], []
         compute = And._compute_mask
+        compute_range = Range._compute_mask
 
         def counting_compute(self, dataset):
             and_masks.append(self)
             return compute(self, dataset)
+
+        def counting_range(self, dataset):
+            range_masks.append(self)
+            return compute_range(self, dataset)
 
         filtered_builds = []
         cached = histogram_module.cached_histogram
@@ -449,6 +456,7 @@ class TestFreshFilterEvaluatedOnce:
             return cached(dataset, key, counted_build)
 
         monkeypatch.setattr(And, "_compute_mask", counting_compute)
+        monkeypatch.setattr(Range, "_compute_mask", counting_range)
         monkeypatch.setattr(histogram_module, "cached_histogram", counting_cached)
         where = {"op": "and", "operands": [
             {"op": "eq", "column": "education", "value": "Bachelor"},
@@ -457,24 +465,25 @@ class TestFreshFilterEvaluatedOnce:
         env = service.handle_dict({"v": 1, "cmd": "show", "session_id": sid,
                                    "attribute": attribute, "where": where})
         assert env["ok"], env
-        assert len(and_masks) == 1
+        assert len(range_masks) == 1 and not and_masks
         assert len(filtered_builds) == 1
+        census = service.manager.dataset("census")
+        assert list(census._mask_cache._data) == [Eq("education", "Bachelor")]
         # The response keeps the request's operand order, not the canonical one.
         assert env["result"]["histogram"]["filter"] == (
             "(education = Bachelor) and (25 <= age < 45)"
         )
 
-        # The same category filter under a new range: its rows are read
-        # from the cached sorted rows, so nothing is masked.
+        # The same category filter under a new range: it is counted from
+        # the cached sorted rows, so nothing is masked.
         where["operands"][1] = {"op": "range", "column": "age",
                                 "lo": 30.0, "hi": 50.0}
         env = service.handle_dict({"v": 1, "cmd": "show", "session_id": sid,
                                    "attribute": attribute, "where": where})
         assert env["ok"], env
-        assert len(and_masks) == 1
+        assert len(range_masks) == 1 and not and_masks
         assert len(filtered_builds) == 2
         # A select-all view has empty caches, so it takes the mask path.
-        census = service.manager.dataset("census")
         fresh = census.select(np.ones(census.n_rows, dtype=bool))
         expected = histogram_module.histogram_for(fresh, attribute, And(
             (Eq("education", "Bachelor"), Range("age", 30.0, 50.0))))
