@@ -203,8 +203,9 @@ def _wide_table(seed: int, driver_rows: int, tie: int = 1,
     rows = driver_rows + others
     red_x = (np.arange(driver_rows) // tie).astype(float)
     if specials:
-        red_x[rng.random(driver_rows) < 0.02] = rng.choice(
-            [math.nan, math.inf, -math.inf])
+        special = rng.random(driver_rows) < 0.02
+        red_x[special] = rng.choice([math.nan, math.inf, -math.inf],
+                                    special.sum())
     other_x = np.where(rng.random(others) < 0.1,
                        rng.choice([math.nan, math.inf, -math.inf], others),
                        rng.uniform(-1.0, red_x.size / tie, others))
@@ -244,8 +245,8 @@ def test_prefix_counts_over_several_blocks(tie, lo, hi):
     _assert_counts_match(table, RED, bounds, And((RED, bounds)))
     assert served == [True, True]
     entry = table._sorted_rows_cache.get((RED, "x"))
-    assert len(entry.tables) == 2 and all(  # several blocks per table
-        len(table) == 4 for table in entry.tables.values())
+    assert len(entry.tables) == 2 and all(  # three blocks per table
+        len(cumulative) == 4 for cumulative in entry.tables.values())
 
 
 def _cut(draw, driver_rows: int) -> int:
