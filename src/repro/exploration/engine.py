@@ -52,8 +52,8 @@ so the engine memoizes them:
   **generation token** each dataset gets at construction is a unique
   per-content identifier for diagnostics, not a cache-key field);
 * cached masks, sorted rows and prefix-count tables are marked read-only
-  before they are shared, so aliasing bugs surface as ``ValueError: assignment
-  destination is read-only`` instead of silent corruption.
+  before they are shared, so aliasing bugs surface as ``ValueError:
+  assignment destination is read-only`` instead of silent corruption.
 
 Predicates with unhashable payloads (e.g. ``Eq("c", [1, 2])``) simply
 bypass the caches; correctness never depends on a cache hit.
