@@ -3,22 +3,21 @@
 The repo's standing contracts (ROADMAP "Standing invariants") are
 enforced mechanically by two components:
 
-* a static AST pass (:mod:`repro.analysis.core`, rules in
+* a per-file AST pass (:mod:`repro.analysis.core`, rules in
   :mod:`repro.analysis.rules`) run as ``repro lint`` or
   ``python -m repro.analysis``, and
-* a runtime lock-discipline detector (:mod:`repro.analysis.runtime`)
-  enabled with ``REPRO_LOCK_CHECK=1`` that instruments every lock in the
-  service tier and fails tests on lock-order inversion or a ``*_locked``
-  helper entered lock-free, and
 * a whole-program pass (:mod:`repro.analysis.whole_program`, call graph
   in :mod:`repro.analysis.callgraph`, wire model in
   :mod:`repro.analysis.protocol_model`) run as ``repro lint
   --whole-program``: protocol conformance (``WIRE001``–``WIRE006``,
   drift-gated against the committed ``protocol_model.json`` via
-  ``repro protocol dump --check``), cross-module determinism taint
-  (``DET101``–``DET103``), and static↔runtime lock-graph
-  cross-validation (``LCK101``, via ``REPRO_LOCK_CHECK_DUMP`` and
-  ``repro lint --check-lock-dump``).
+  ``repro protocol dump --check``) and cross-module determinism taint
+  (``DET101``–``DET103``).
+
+Lock discipline also has a runtime half, which lives outside the linter
+so that no served process loads it: :mod:`repro.locks` builds every lock
+and, under ``REPRO_LOCK_CHECK=1``, raises on lock-order inversion or a
+``*_locked`` helper entered lock-free.
 
 Rule catalog
 ------------
@@ -41,11 +40,6 @@ Rule catalog
                      its payload.
 ``ledger``           ``LED001`` a ``BENCH_*.json`` path opened for
                      writing outside ``repro/ledger.py``.
-``frozen-array``     ``ARR001`` in-place numpy mutation of a value from
-                     the engine's mask/histogram cache paths;
-                     ``ARR002`` cache insert of a fresh array without
-                     ``setflags(write=False)``; ``ARR003`` any
-                     ``setflags(write=True)``.
 ==============  =======================================================
 
 Violations are suppressed by a same-line pragma with a written reason::

@@ -3,27 +3,14 @@
 The per-file rules (:mod:`repro.analysis.rules`) deliberately stop at
 module boundaries; the whole-program pass (:mod:`~repro.analysis.whole_program`)
 needs to follow calls *across* them — nondeterminism reaching a
-``DecisionRecord`` through a helper in another module, or a lock acquired
-three frames below the frame that already holds one.  This module builds
-the shared substrate: parse every file once, index the function
-definitions, and resolve call expressions to candidate definitions.
-
-Two resolution modes, because the two analyses fail in opposite
-directions:
-
-* :meth:`Project.resolve_strict` — only bindings the AST can actually
-  prove (same-module functions, ``self.method`` within the enclosing
-  class, ``from repro.x import f`` imports, ``module.f`` attribute calls
-  on imported modules).  Unresolvable calls resolve to *nothing*.  The
-  determinism taint pass uses this: an over-approximation would flag
-  clean code, and a lint that cries wolf gets pragma'd into silence.
-* :meth:`Project.resolve_loose` — every definition in the project whose
-  terminal name matches, and the sentinel :data:`UNRESOLVED` when none
-  does.  The static lock-order graph uses this: that graph must be a
-  *superset* of every acquisition order the runtime detector can observe
-  (missing edges fail CI; surplus edges are merely never-exercised
-  warnings), so dynamic dispatch — handler tables, callbacks, duck-typed
-  backends — must widen, never narrow.
+``DecisionRecord`` through a helper in another module.  This module
+builds the shared substrate: parse every file once, index the function
+definitions, and resolve call expressions to the definitions they
+provably bind to (:meth:`Project.resolve_strict`: same-module functions,
+``self.method`` within the enclosing class, ``from repro.x import f``
+imports, ``module.f`` attribute calls on imported modules).
+Unresolvable calls resolve to *nothing*: an over-approximation would
+flag clean code, and a lint that cries wolf gets pragma'd into silence.
 
 Like the rest of reprolint this is pure ``ast`` — no imports of the code
 under analysis, so it runs against fixture trees and half-broken
@@ -38,12 +25,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.analysis.core import iter_python_files, module_relative_path
-
-#: Sentinel returned by loose resolution for calls whose target name
-#: matches no definition anywhere in the project (dict-dispatched
-#: handlers, injected callbacks).  The lock-graph pass treats it as
-#: "could be anything" and propagates held-lock sets to every function.
-UNRESOLVED = "<unresolved>"
 
 
 @dataclass(frozen=True)
@@ -68,11 +49,7 @@ class ModuleInfo:
     tree: ast.Module = field(repr=False)
     #: local name -> (module rel path, symbol name | None for whole-module)
     imports: dict[str, tuple[str, str | None]] = field(default_factory=dict)
-    #: local names bound by imports from outside the project (stdlib,
-    #: numpy, ...) — calls through them can never reach project code
-    foreign: set[str] = field(default_factory=set)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)  # qual -> info
-    classes: set[str] = field(default_factory=set)
 
 
 def dotted_to_rel(dotted: str, *, package: str = "repro") -> str | None:
@@ -83,14 +60,6 @@ def dotted_to_rel(dotted: str, *, package: str = "repro") -> str | None:
     if not dotted.startswith(prefix):
         return None
     return dotted[len(prefix):].replace(".", "/") + ".py"
-
-
-def _terminal(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -110,9 +79,6 @@ class Project:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.defs: dict[str, FunctionInfo] = {}
-        self._by_name: dict[str, list[str]] = {}
-        self._class_modules: dict[str, list[str]] = {}
-        self._address_taken: list[str] | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -140,8 +106,6 @@ class Project:
         info = ModuleInfo(rel=rel, path=path, source=source, tree=tree)
         self.modules[rel] = info
         self._index_functions(info)
-        for cls in info.classes:
-            self._class_modules.setdefault(cls, []).append(rel)
 
     def _index_imports(self, info: ModuleInfo) -> None:
         for node in ast.walk(info.tree):
@@ -150,12 +114,9 @@ class Project:
                     rel = dotted_to_rel(alias.name)
                     if rel is not None:
                         info.imports[alias.asname or alias.name.split(".")[-1]] = (rel, None)
-                    else:
-                        info.foreign.add(alias.asname or alias.name.split(".")[0])
             elif isinstance(node, ast.ImportFrom):
                 base = self._import_base(info, node)
                 if base is None:
-                    info.foreign.update(a.asname or a.name for a in node.names)
                     continue
                 if base.endswith("/__init__.py"):
                     pkg_dir = base[: -len("__init__.py")]
@@ -202,7 +163,6 @@ class Project:
         def visit(node: ast.AST, class_name: str | None) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
-                    info.classes.add(child.name)
                     visit(child, child.name)
                 elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qual = f"{class_name}.{child.name}" if class_name else child.name
@@ -216,7 +176,6 @@ class Project:
                     )
                     info.functions.setdefault(qual, fn)
                     self.defs[fn.key] = fn
-                    self._by_name.setdefault(child.name, []).append(fn.key)
                     visit(child, class_name)  # nested defs keep the class scope
                 else:
                     visit(child, class_name)
@@ -272,55 +231,3 @@ class Project:
                         return [fn] if fn is not None else []
             return []
         return []
-
-    def resolve_loose(self, func_expr: ast.AST) -> list[str]:
-        """Keys of every same-named definition, or ``[UNRESOLVED]``.
-
-        Deliberately wide: ``backend.handle_dict(...)`` must reach every
-        ``handle_dict`` in the project, because at runtime it does.
-        """
-        name = _terminal(func_expr)
-        if name is None:
-            return [UNRESOLVED]
-        keys = self._by_name.get(name)
-        if keys:
-            return list(keys)
-        if name in self._class_modules:
-            # A constructor call: resolve to __init__ where one is
-            # defined; a plain dataclass/exception construction runs no
-            # project code, so "resolved to nothing" (not UNRESOLVED).
-            return [
-                key
-                for rel in self._class_modules[name]
-                if (key := f"{rel}::{name}.__init__") in self.defs
-            ]
-        return [UNRESOLVED]
-
-    def address_taken(self) -> list[str]:
-        """Keys of functions whose *reference* is taken somewhere.
-
-        A Name/Attribute matching a known function name in a non-call
-        position — a handler-table value, a ``target=`` argument, an
-        injected callback.  This is the candidate set for calls through
-        variables (``handler(command)``): tighter than "every function",
-        still a superset of anything actually reachable that way.
-        """
-        if self._address_taken is None:
-            keys: set[str] = set()
-            for info in self.modules.values():
-                call_funcs = {
-                    id(node.func)
-                    for node in ast.walk(info.tree)
-                    if isinstance(node, ast.Call)
-                }
-                for node in ast.walk(info.tree):
-                    if not isinstance(node, (ast.Name, ast.Attribute)):
-                        continue
-                    if id(node) in call_funcs:
-                        continue
-                    name = _terminal(node)
-                    if name is not None:
-                        keys.update(self._by_name.get(name, ()))
-            self._address_taken = sorted(keys)
-        return self._address_taken
-

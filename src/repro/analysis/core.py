@@ -24,7 +24,6 @@ import ast
 import io
 import json
 import re
-import sys
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -397,9 +396,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--whole-program", action="store_true",
                         help="also run the cross-module conformance pass"
                              " (WIRE/DET1xx) over the paths as one project")
-    parser.add_argument("--check-lock-dump", metavar="PATH", default=None,
-                        help="cross-validate a REPRO_LOCK_CHECK_DUMP file"
-                             " against the static lock-order graph")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -425,16 +421,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.analysis.whole_program import run_whole_program
 
         report.violations.extend(suppress_by_pragma(run_whole_program(args.paths)))
-
-    if args.check_lock_dump:
-        from repro.analysis.callgraph import Project
-        from repro.analysis.whole_program import validate_lock_dump
-
-        project = Project.from_paths(args.paths)
-        lock_violations, warnings = validate_lock_dump(project, args.check_lock_dump)
-        report.violations.extend(lock_violations)
-        for warning in warnings:
-            print(f"note: {warning}", file=sys.stderr)
 
     report.violations.sort()
     if args.format == "sarif":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.analysis.core import FileContext, Rule, Violation
 
@@ -451,180 +451,9 @@ def _mentions_bench(
     return False
 
 
-# ---------------------------------------------------------------------------
-# rule 5: frozen-array
-
-
-_NP_CONSTRUCTORS = frozenset(
-    {"asarray", "array", "zeros", "ones", "empty", "full", "arange", "frombuffer", "copy"}
-)
-_INPLACE_METHODS = frozenset(
-    {"sort", "fill", "put", "partition", "itemset", "resize", "byteswap"}
-)
-_INPLACE_NP_FUNCS = frozenset({"copyto", "place", "put", "putmask"})
-_CACHE_SOURCES = frozenset({"cached_mask", "cached_histogram"})
-
-
-def _setflags_write_value(call: ast.Call) -> object:
-    for kw in call.keywords:
-        if kw.arg == "write" and isinstance(kw.value, ast.Constant):
-            return kw.value.value
-    return None
-
-
-def _function_scopes(tree: ast.Module) -> Iterator[list[ast.stmt]]:
-    yield tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.body
-
-
-def _walk_scope(body: Iterable[ast.stmt]) -> Iterator[ast.AST]:
-    """Walk statements without descending into nested function defs."""
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-class FrozenArrayRule(Rule):
-    name = "frozen-array"
-    codes = {
-        "ARR001": "in-place numpy mutation of a cache-path value",
-        "ARR002": "cache insert of a fresh array without setflags(write=False)",
-        "ARR003": "setflags(write=True) re-enables mutation of a shared array",
-    }
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "setflags"
-                and _setflags_write_value(node) is True
-            ):
-                yield ctx.violation(node, "ARR003", self.name,
-                                    "setflags(write=True) thaws a shared array")
-
-        for body in _function_scopes(ctx.tree):
-            yield from self._check_scope(ctx, body)
-
-    def _check_scope(self, ctx: FileContext, body: Iterable[ast.stmt]) -> Iterator[Violation]:
-        cache_derived: set[str] = set()
-        np_fresh: set[str] = set()
-        frozen: set[str] = set()
-        nodes = list(_walk_scope(body))
-        for node in nodes:
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                call = node.value
-                target_names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                if not target_names:
-                    continue
-                fn = call_target(call)
-                if fn in _CACHE_SOURCES:
-                    cache_derived.update(target_names)
-                elif (
-                    fn == "get"
-                    and isinstance(call.func, ast.Attribute)
-                    and "cache" in (terminal_name(call.func.value) or "").lower()
-                ):
-                    cache_derived.update(target_names)
-                elif fn in _NP_CONSTRUCTORS:
-                    np_fresh.update(target_names)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "setflags"
-                and isinstance(node.func.value, ast.Name)
-                and _setflags_write_value(node) is False
-            ):
-                frozen.add(node.func.value.id)
-
-        def _is_tracked(expr: ast.AST) -> str | None:
-            if isinstance(expr, ast.Name) and expr.id in cache_derived:
-                return expr.id
-            if (
-                isinstance(expr, ast.Subscript)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id in cache_derived
-            ):
-                return expr.value.id
-            return None
-
-        for node in nodes:
-            if isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Subscript):
-                        name = _is_tracked(tgt)
-                        if name:
-                            yield self._mutation(ctx, node, name)
-            elif isinstance(node, ast.AugAssign):
-                name = _is_tracked(node.target)
-                if name:
-                    yield self._mutation(ctx, node, name)
-            elif isinstance(node, ast.Call):
-                fn = call_target(node)
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and fn in _INPLACE_METHODS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in cache_derived
-                ):
-                    # np's .put/.sort on a cache value; dict-like caches
-                    # named *cache* are excluded by construction above.
-                    yield self._mutation(ctx, node, node.func.value.id)
-                elif (
-                    fn in _INPLACE_NP_FUNCS
-                    and node.args
-                    and isinstance(node.func, ast.Attribute)
-                    and terminal_name(node.func.value) in ("np", "numpy")
-                ):
-                    # np.put/np.copyto mutate their first argument; a
-                    # `cache.put(key, value)` insert is NOT this — it falls
-                    # through to the ARR002 branch below.
-                    first = node.args[0]
-                    if isinstance(first, ast.Name) and first.id in cache_derived:
-                        yield self._mutation(ctx, node, first.id)
-                elif (
-                    fn == "put"
-                    and ctx.rel.startswith("exploration/")
-                    and isinstance(node.func, ast.Attribute)
-                    and "cache" in (terminal_name(node.func.value) or "").lower()
-                    and len(node.args) >= 2
-                ):
-                    value = node.args[1]
-                    fresh_name = isinstance(value, ast.Name) and value.id in np_fresh
-                    direct_ctor = (
-                        isinstance(value, ast.Call) and call_target(value) in _NP_CONSTRUCTORS
-                    )
-                    if direct_ctor or (
-                        fresh_name and value.id not in frozen  # type: ignore[union-attr]
-                    ):
-                        yield ctx.violation(
-                            node,
-                            "ARR002",
-                            self.name,
-                            "array cached without setflags(write=False) — cached"
-                            " values are shared across sessions and must be frozen",
-                        )
-
-    def _mutation(self, ctx: FileContext, node: ast.AST, name: str) -> Violation:
-        return ctx.violation(
-            node,
-            "ARR001",
-            self.name,
-            f"in-place mutation of `{name}`, a cache-path value — cached arrays"
-            " are frozen and shared; copy before mutating",
-        )
-
-
 RULES: tuple[type[Rule], ...] = (
     LockDisciplineRule,
     DeterminismRule,
     BoundaryRule,
     LedgerRule,
-    FrozenArrayRule,
 )

@@ -68,9 +68,9 @@ import socket
 import threading
 import time
 
-from repro.analysis.runtime import make_lock
 from repro.api.protocol import PROTOCOL_VERSION, Response
 from repro.api.service import DEFAULT_MAX_SESSIONS, ExplorationService
+from repro.locks import make_lock
 
 __all__ = ["ApiHttpServer", "ServerThread", "STATUS_FOR_CODE", "serve_forever",
            "EVENTS_PATH_PREFIX"]

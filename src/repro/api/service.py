@@ -54,7 +54,6 @@ import math
 from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
-from repro.analysis.runtime import make_lock
 from repro.errors import (
     AdmissionRejectedError,
     InvalidParameterError,
@@ -64,6 +63,7 @@ from repro.errors import (
 )
 from repro.exploration.export import clean_float, hypothesis_to_dict
 from repro.exploration.session import ViewResult
+from repro.locks import make_lock
 from repro.service.manager import SessionManager
 from repro.api.protocol import (
     PREV,

@@ -176,24 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SSE keep-alive comment interval on "
                             "/v1/events/{session} (default 15)")
 
-    lint = sub.add_parser(
-        "lint",
+    # reprolint declares its own flags (repro.analysis.core.main), and
+    # `main` hands it every argument after `lint` unparsed.
+    sub.add_parser(
+        "lint", add_help=False,
         help="run reprolint, the project's invariant linter, over src/",
     )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--rule", action="append", default=None, metavar="NAME",
-                      help="run only this rule (repeatable)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalog and exit")
-    lint.add_argument("--whole-program", action="store_true",
-                      help="also run the cross-module conformance pass"
-                           " (protocol drift, determinism taint)")
-    lint.add_argument("--check-lock-dump", metavar="PATH", default=None,
-                      help="cross-validate a REPRO_LOCK_CHECK_DUMP file"
-                           " against the static lock-order graph")
 
     protocol = sub.add_parser(
         "protocol",
@@ -467,24 +455,6 @@ def _run_route(args) -> str:
     return "router stopped"
 
 
-def _run_lint(args: argparse.Namespace) -> int:
-    """Delegate to reprolint; unlike the other commands this has a
-    meaningful non-zero exit code, so it bypasses ``_COMMANDS``."""
-    from repro.analysis.core import main as lint_main
-
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    for rule in args.rule or ():
-        argv.extend(["--rule", rule])
-    argv.extend(["--format", args.format])
-    if args.whole_program:
-        argv.append("--whole-program")
-    if args.check_lock_dump:
-        argv.extend(["--check-lock-dump", args.check_lock_dump])
-    return lint_main(argv)
-
-
 def _run_protocol(args: argparse.Namespace) -> int:
     """`repro protocol dump [--check committed.json]` — the drift gate."""
     import json
@@ -534,9 +504,14 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
     if args.command == "lint":
-        return _run_lint(args)
+        # Unlike the other commands, lint has a meaningful exit code.
+        from repro.analysis.core import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     if args.command == "protocol":
         return _run_protocol(args)
     if args.command == "all":

@@ -47,7 +47,6 @@ import threading
 import uuid
 from typing import Any, Iterator, Mapping
 
-from repro.analysis.runtime import make_lock, make_rlock
 from repro.api.client import Client, _is_idempotent
 from repro.api.http import (
     _SSE_HEAD,
@@ -73,6 +72,7 @@ from repro.api.protocol import (
 from repro.cluster.hashring import DEFAULT_REPLICAS, HashRing
 from repro.cluster.supervisor import Worker, WorkerSupervisor
 from repro.errors import ProtocolError, ReproError
+from repro.locks import make_lock, make_rlock
 
 __all__ = ["RouterService", "RouterHttpServer", "RemoteWorker",
            "LocalWorker", "Cluster", "CONNECTION_ERRORS"]

@@ -37,8 +37,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.runtime import make_rlock
 from repro.errors import ReproError
+from repro.locks import make_rlock
 
 __all__ = ["Worker", "WorkerSupervisor", "BANNER_RE"]
 

@@ -67,7 +67,7 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from repro.analysis.runtime import make_lock
+from repro.locks import make_lock
 
 __all__ = [
     "LRUCache",

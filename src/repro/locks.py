@@ -1,10 +1,12 @@
-"""Runtime lock-discipline detector (``REPRO_LOCK_CHECK=1``).
+"""Lock construction and the runtime lock-discipline detector.
 
-The static pass (:mod:`repro.analysis.rules`) proves lexical discipline;
-this module checks the *dynamic* half at test time, lockdep-style.  Every
-lock in the service tier is built through :func:`make_lock` /
-:func:`make_rlock`, which return plain :mod:`threading` locks in
-production and instrumented wrappers when ``REPRO_LOCK_CHECK`` is set.
+Every lock in the service, store, cluster and engine tiers is built
+through :func:`make_lock` / :func:`make_rlock`, which return plain
+:mod:`threading` locks in production and instrumented wrappers when
+``REPRO_LOCK_CHECK=1`` is set; the tier-1 suite and the kill-9 e2e jobs
+run with it set.  The linter's ``lock-discipline`` rule
+(:mod:`repro.analysis.rules`) proves lexical discipline within a module;
+this module checks the *dynamic* half at test time, lockdep-style.
 The wrappers maintain:
 
 * a per-thread stack of held locks (re-entrant acquires counted), and
@@ -27,27 +29,19 @@ Detected at runtime:
 * **lock-free entry** into a ``*_locked`` helper decorated with
   :func:`locked_helper`.
 
-When ``REPRO_LOCK_CHECK_DUMP=<path>`` is also set, every process that
-built a checked lock appends its observed acquisition edges to *path* as
-one JSON line at interpreter exit; ``repro lint --check-lock-dump``
-cross-validates that dump against the statically extracted lock-order
-graph (every observed edge must be statically predicted).
-
 This module is stdlib-only and must not import the rest of ``repro`` —
-it is loaded by every subsystem that builds a lock.
+it is loaded by every subsystem that builds a lock, so a served process
+never loads the linter.
 """
 
 from __future__ import annotations
 
-import atexit
 import functools
-import json
 import os
 import threading
 from typing import Callable, Iterator
 
 _ENV_VAR = "REPRO_LOCK_CHECK"
-_DUMP_ENV = "REPRO_LOCK_CHECK_DUMP"
 
 
 def enabled() -> bool:
@@ -63,10 +57,6 @@ _state = threading.local()  # .held: list[_CheckedLockBase] acquisition stack
 _graph_lock = threading.Lock()
 _order: dict[str, set[str]] = {}  # lock class -> classes acquired while it was held
 _seen_edges: set[tuple[str, str]] = set()
-# Everything ever observed in this process: survives reset_order_graph()
-# (tests reset for isolation, but the nesting still physically happened,
-# and the REPRO_LOCK_CHECK_DUMP export must report it).
-_ever_edges: set[tuple[str, str]] = set()
 _events: list[dict] = []
 
 
@@ -95,53 +85,6 @@ def reset_order_graph() -> None:
         _order.clear()
         _seen_edges.clear()
         _events.clear()
-
-
-def order_graph() -> list[tuple[str, str]]:
-    """Sorted snapshot of every acquisition edge ever observed in this
-    process (src held → dst), including before any reset."""
-    with _graph_lock:
-        return sorted(_ever_edges)
-
-
-def dump_order_graph(path: str) -> None:
-    """Append this process's observed edges to *path* as one JSONL record.
-
-    Append mode on purpose: ``repro serve`` workers and the pytest process
-    share one ``REPRO_LOCK_CHECK_DUMP`` target through the environment, and
-    each contributes its own line at exit.  The cross-validator unions the
-    lines, so ordering and duplication between processes don't matter.
-    """
-    record = {"pid": os.getpid(), "edges": [list(e) for e in order_graph()]}
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-_dump_registered = False
-
-
-def _register_dump_at_exit() -> None:
-    global _dump_registered
-    if _dump_registered:
-        return
-    path = os.environ.get(_DUMP_ENV, "").strip()
-    if not path:
-        return
-    _dump_registered = True
-    atexit.register(dump_order_graph, path)
-
-
-def load_order_dump(path: str) -> set[tuple[str, str]]:
-    """Union of the edges from every JSONL record in a dump file."""
-    edges: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            edges.update((src, dst) for src, dst in record.get("edges", ()))
-    return edges
 
 
 def _record(kind: str, message: str, **details: object) -> None:
@@ -197,7 +140,6 @@ class _CheckedLockBase:
                     })
                     raise LockDisciplineError(message)
                 _seen_edges.add((src, dst))
-                _ever_edges.add((src, dst))
                 _order.setdefault(src, set()).add(dst)
 
     def _after_acquire(self) -> None:
@@ -288,7 +230,6 @@ def make_lock(name: str) -> threading.Lock | CheckedLock:
     The enabled/disabled decision is taken at construction time.
     """
     if enabled():
-        _register_dump_at_exit()
         return CheckedLock(name)
     return threading.Lock()
 
@@ -296,7 +237,6 @@ def make_lock(name: str) -> threading.Lock | CheckedLock:
 def make_rlock(name: str) -> threading.RLock | CheckedRLock:
     """Re-entrant variant of :func:`make_lock`."""
     if enabled():
-        _register_dump_at_exit()
         return CheckedRLock(name)
     return threading.RLock()
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import queue
 from typing import Any, Iterator, Mapping
 
-from repro.analysis.runtime import make_lock
+from repro.locks import make_lock
 
 __all__ = ["Subscription", "EventBroker", "END_EVENT_TYPE"]
 

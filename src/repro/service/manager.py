@@ -79,7 +79,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from repro.analysis.runtime import locked_helper, make_lock, make_rlock
 from repro.errors import (
     InvalidParameterError,
     RecoveryError,
@@ -94,6 +93,7 @@ from repro.exploration.engine import ensure_thread_safe_caches
 from repro.exploration.export import clean_float
 from repro.exploration.predicate import Predicate
 from repro.exploration.session import ExplorationSession, ViewResult
+from repro.locks import locked_helper, make_lock, make_rlock
 from repro.procedures.base import StreamingProcedure
 from repro.service.events import EventBroker
 

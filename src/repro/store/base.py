@@ -74,8 +74,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.analysis.runtime import make_lock
 from repro.errors import StoreError
+from repro.locks import make_lock
 
 __all__ = [
     "SNAPSHOT_VERSION",

@@ -34,8 +34,8 @@ import shutil
 from pathlib import Path
 from typing import IO, Any, Mapping
 
-from repro.analysis.runtime import make_rlock
 from repro.errors import StoreError
+from repro.locks import make_rlock
 
 from .base import SessionStore, StoredSession, order_entries
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from repro.analysis.runtime import make_rlock
 from repro.errors import StoreError
+from repro.locks import make_rlock
 
 from .base import SessionStore, StoredSession, order_entries
 

@@ -31,8 +31,8 @@ import sqlite3
 import time
 from typing import Any, Mapping
 
-from repro.analysis.runtime import make_rlock
 from repro.errors import StoreError
+from repro.locks import make_rlock
 
 from .base import SessionStore, StoredSession, order_entries
 

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis import runtime as rt
+from repro import locks as rt
 from repro.api.protocol import PREV, predicate_to_dict
 from repro.api.service import ExplorationService
 from repro.exploration.dataset import Dataset

@@ -60,9 +60,8 @@ def test_module_entry_point_exits_zero():
     assert "reprolint: clean" in proc.stdout
 
 
-def test_list_rules_names_all_five(capsys):
+def test_list_rules_names_all_four(capsys):
     assert cli_main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("lock-discipline", "determinism", "boundary", "ledger",
-                 "frozen-array"):
+    for rule in ("lock-discipline", "determinism", "boundary", "ledger"):
         assert rule in out

@@ -1,4 +1,4 @@
-"""Unit tests for the runtime lock-discipline detector.
+"""Unit tests for the runtime lock-discipline detector (:mod:`repro.locks`).
 
 The global acquisition-order graph is process-wide state (order is a
 whole-program property), so every test resets it and uses its own lock
@@ -7,11 +7,28 @@ class names.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import runtime as rt
+from repro import locks as rt
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+#: What `repro serve`, `repro route` and `--workers` import to serve.
+SERVER_MODULES = (
+    "repro.cli",
+    "repro.api.http",
+    "repro.cluster.router",
+    "repro.cluster.supervisor",
+    "repro.service.manager",
+    "repro.store.jsonl",
+    "repro.store.memory",
+    "repro.store.sqlite",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -156,30 +173,19 @@ def test_clear_events_keeps_order_graph():
             pass  # pragma: no cover - never reached
 
 
-def test_order_graph_snapshot_survives_reset():
-    a, b = rt.make_lock("t13.a"), rt.make_lock("t13.b")
-    with a, b:
-        pass
-    assert ("t13.a", "t13.b") in rt.order_graph()
-    rt.reset_order_graph()
-    # The dump export reports everything ever observed: a test resetting
-    # for isolation must not erase history the cross-validator needs.
-    assert ("t13.a", "t13.b") in rt.order_graph()
-
-
-def test_dump_order_graph_appends_jsonl(tmp_path):
-    a, b = rt.make_lock("t14.a"), rt.make_lock("t14.b")
-    with a, b:
-        pass
-    dump = tmp_path / "edges.jsonl"
-    rt.dump_order_graph(str(dump))
-    rt.dump_order_graph(str(dump))  # second process would append, not clobber
-    assert len(dump.read_text().splitlines()) == 2
-    assert ("t14.a", "t14.b") in rt.load_order_dump(str(dump))
-
-
-def test_dump_registered_at_exit_when_env_set(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_LOCK_CHECK_DUMP", str(tmp_path / "d.jsonl"))
-    monkeypatch.setattr(rt, "_dump_registered", False)
-    rt.make_lock("t15.a")
-    assert rt._dump_registered
+def test_server_modules_load_no_linter():
+    """Served code builds its locks here, so it never imports the linter."""
+    script = "".join(f"import {name}\n" for name in SERVER_MODULES) + (
+        "import sys\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,11 +1,10 @@
-"""Whole-program conformance pass: fixtures, drift gate, lock graph.
+"""Whole-program conformance pass: fixtures, drift gate, SARIF.
 
 The ``fixtures/wholeprogram/<case>/`` directories are miniature project
 trees, one per rule; each seeds exactly one violation with a trailing
 ``# seed: <CODE>`` comment, and the harness asserts the pass reports
-exactly that set.  The drift gate and the static↔runtime lock-graph
-cross-validation are exercised against the real ``src/`` tree, mirroring
-what CI runs.
+exactly that set.  The drift gate is exercised against the real ``src/``
+tree, mirroring what CI runs.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from repro.analysis.protocol_model import (
     extract_model,
     model_to_dict,
 )
-from repro.analysis.whole_program import (
-    DET_CODES,
-    run_whole_program,
-    static_lock_edges,
-    validate_lock_dump,
-)
+from repro.analysis.whole_program import DET_CODES, run_whole_program
 from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -145,74 +139,6 @@ def test_model_declares_v2_only_verbs():
     assert data["v2_only"] == ["pipeline", "recover"]
     assert data["verbs"]["pipeline"]["min_version"] == 2
     assert data["verbs"]["show"]["min_version"] == 1
-
-
-# -- static lock-order graph ------------------------------------------------
-
-
-def test_static_graph_predicts_known_runtime_edges():
-    """Regression floor: orders the service tier demonstrably exhibits
-    (session lock wrapping store/engine/broker work, router wrapping a
-    local worker) must stay in the extracted graph."""
-    static = static_lock_edges(Project.from_paths([str(SRC)]))
-    for edge in [
-        ("manager.session", "store.jsonl"),
-        ("manager.session", "store.memory"),
-        ("manager.session", "store.idem-index"),
-        ("manager.session", "engine.cache"),
-        ("manager.session", "events.broker"),
-        ("service.admission", "manager.registry"),
-        ("router.session", "router.registry"),
-        ("router.session", "manager.session"),
-    ]:
-        assert edge in static, edge
-
-
-def test_static_graph_has_no_self_edges():
-    static = static_lock_edges(Project.from_paths([str(SRC)]))
-    assert not [e for e in static if e[0] == e[1]]
-
-
-def _write_dump(path: Path, edges: list[list[str]]) -> None:
-    path.write_text(json.dumps({"pid": 1, "edges": edges}) + "\n")
-
-
-def test_lock_dump_validation_accepts_predicted_order(tmp_path):
-    dump = tmp_path / "dump.jsonl"
-    _write_dump(dump, [["fix.outer", "fix.inner"]])
-    project = Project.from_paths([str(CASES / "lockgraph")])
-    violations, _ = validate_lock_dump(project, str(dump))
-    assert violations == []
-
-
-def test_lock_dump_validation_flags_unpredicted_order(tmp_path):
-    dump = tmp_path / "dump.jsonl"
-    _write_dump(dump, [["fix.inner", "fix.outer"]])
-    project = Project.from_paths([str(CASES / "lockgraph")])
-    violations, _ = validate_lock_dump(project, str(dump))
-    assert [v.code for v in violations] == ["LCK101"]
-    assert "fix.inner" in violations[0].message
-
-
-def test_lock_dump_validation_skips_foreign_lock_classes(tmp_path):
-    """Ad-hoc locks fabricated by tests are outside the analyzed tree
-    and must not fail the gate — they surface as warnings instead."""
-    dump = tmp_path / "dump.jsonl"
-    _write_dump(dump, [["test.a", "test.b"]])
-    project = Project.from_paths([str(CASES / "lockgraph")])
-    violations, warnings = validate_lock_dump(project, str(dump))
-    assert violations == []
-    assert any("outside the analyzed tree" in w for w in warnings)
-
-
-def test_cli_check_lock_dump(tmp_path, capsys):
-    dump = tmp_path / "dump.jsonl"
-    _write_dump(dump, [["fix.inner", "fix.outer"]])
-    case = str(CASES / "lockgraph")
-    assert cli_main(["lint", case, "--check-lock-dump", str(dump)]) == 1
-    assert "LCK101" in capsys.readouterr().out
-    _write_dump(dump, [["fix.outer", "fix.inner"]])
-    assert cli_main(["lint", case, "--check-lock-dump", str(dump)]) == 0
 
 
 # -- sarif ------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.exploration.histogram import (
     numeric_histogram,
 )
 from repro.exploration.predicate import TRUE, And, Eq, In, Not, Or, Range
+from repro.exploration.session import ExplorationSession
 from repro.stats.tests import chi_square_gof
 from repro.workloads.census import make_census
 
@@ -405,3 +406,45 @@ class TestCacheInvalidation:
         assert codes.dtype == np.int32
         recoded = tiny_dataset.column("color").codes
         assert recoded is codes  # materialized once, shared thereafter
+
+
+def assert_read_only(array):
+    assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = array
+
+
+class TestReadOnlyArrays:
+    def test_served_cache_and_column_arrays_are_read_only(self):
+        """Every array a show caches, and every column array, is shared by
+        every session of a dataset: numpy must refuse an in-place write to
+        each one, on a base dataset and on a view of it."""
+        census = make_census(6_000, seed=3)
+        view = census.select(np.arange(census.n_rows) % 5 != 0)
+        session = ExplorationSession(view, procedure="gamma-fixed")
+        session.show("sex")  # rule 1
+        session.show("age")  # numeric: bin edges and bin codes
+        session.show("salary_over_50k", where=Eq("education", "PhD"))
+        driver = Eq("sex", "Male")
+        drilldown = And((driver, Range("age", 30.0, 55.0)))
+        for target in ("salary_over_50k", "hours_per_week", "education"):
+            session.show(target, where=drilldown)
+
+        entry = view._sorted_rows_cache._data[(driver, "age")]
+        assert len(entry.tables) == 2  # a categorical and a binned target
+        cached = [
+            *view._mask_cache._data.values(),
+            *view._bin_codes_cache._data.values(),
+            *view._edges_cache.values(),
+        ]
+        for rows in view._sorted_rows_cache._data.values():
+            cached.extend((rows.row_ids, rows.values, *rows.tables.values()))
+        assert len(cached) > 6
+        for array in cached:
+            assert_read_only(array)
+        for dataset in (census, view):
+            for name in dataset.column_names:
+                column = dataset.column(name)
+                assert_read_only(column.values)
+                if dataset.is_categorical(name):
+                    assert_read_only(column.codes)
