@@ -432,14 +432,12 @@ class TestReadOnlyArrays:
 
         entry = view._sorted_rows_cache._data[(driver, "age")]
         assert len(entry.tables) == 2  # a categorical and a binned target
-        cached = [
-            *view._mask_cache._data.values(),
-            *view._bin_codes_cache._data.values(),
-            *view._edges_cache.values(),
-        ]
+        caches = (view._mask_cache._data, view._bin_codes_cache._data,
+                  view._edges_cache)
+        assert all(caches)
+        cached = [array for cache in caches for array in cache.values()]
         for rows in view._sorted_rows_cache._data.values():
             cached.extend((rows.row_ids, rows.values, *rows.tables.values()))
-        assert len(cached) > 6
         for array in cached:
             assert_read_only(array)
         for dataset in (census, view):
