@@ -6,8 +6,10 @@ Three ledgers accumulate performance history in this repo —
 and every record in them must be *attributable*: which commit, which
 python, which machine.  This module is the single home of that
 attribution block and of the append-only record format, so the writers
-(``repro/service/sweep.py``, ``benchmarks/run_benchmarks.py``,
-``benchmarks/run_api_bench.py``) can never drift apart on either.
+beside it (``scale_sweep.py``, ``run_benchmarks.py`` and
+``run_api_bench.py``) can never drift apart on either.  The linter's
+``LED001`` exempts this file and rejects a ``BENCH_*`` write anywhere
+else.
 """
 
 from __future__ import annotations

@@ -72,8 +72,9 @@ from repro.api import (  # noqa: E402
 )
 from repro.errors import InvalidParameterError  # noqa: E402
 from repro.exploration.predicate import And, Eq, Not, Range  # noqa: E402
-from repro.ledger import append_ledger_record  # noqa: E402
 from repro.workloads.census import make_census  # noqa: E402
+
+from ledger import append_ledger_record  # noqa: E402
 
 #: Rows of the census the service benchmarks explore.
 _BENCH_ROWS = 20_000

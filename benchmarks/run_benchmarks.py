@@ -32,7 +32,7 @@ if _SRC not in sys.path:
 # Single source of truth for record attribution (git sha with GITHUB_SHA
 # fallback on detached/shallow CI checkouts, python, machine) — shared
 # with every BENCH_*.json writer so the ledgers can never drift apart.
-from repro.ledger import run_metadata  # noqa: E402
+from ledger import run_metadata  # noqa: E402
 
 
 def run_suite(raw_json: Path) -> None:

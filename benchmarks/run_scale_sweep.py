@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Run the multi-session scale sweep and append a record to ``BENCH_scale.json``.
 
-The service-layer counterpart of ``run_benchmarks.py``: replays synthetic
-and user-study workloads through :class:`repro.service.sweep.ScaleSweep` across
-a (rows × sessions) grid and appends one attributable record per run to
-the ``BENCH_scale.json`` ledger (the file accumulates history; it is
-never overwritten).
+The service-layer counterpart of ``run_benchmarks.py``, and the sweep's
+only command line: replays synthetic and user-study workloads through
+:class:`scale_sweep.ScaleSweep` across a (rows × sessions) grid and
+appends one attributable record per run to the ``BENCH_scale.json``
+ledger (the file accumulates history; it is never overwritten).
 
 Usage::
 
@@ -25,14 +25,13 @@ _SRC = str(REPO_ROOT / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.service.sweep import (  # noqa: E402
+from scale_sweep import (  # noqa: E402
     DEFAULT_TRANSPORTS,
     TRANSPORTS,
     WORKLOADS,
     ScaleSweep,
     append_record,
     format_cells,
-    sweep_extra,
 )
 
 #: Named grids: ``small`` is the nightly-CI grid, ``full`` the paper-scale one.
@@ -77,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-measure each cell this many times, pooling "
                              "latency samples (default 1; CI uses 3 to "
                              "steady the pipeline_speedup ratio)")
-    parser.add_argument("--serial", action="store_true",
-                        help="dispatch sessions serially instead of on a pool")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="thread-pool width (default: executor's choice)")
     parser.add_argument("--label", default=None,
                         help="free-form label stored in the record (e.g. 'nightly')")
     parser.add_argument("--output", type=Path,
@@ -108,12 +103,16 @@ def main(argv: list[str] | None = None) -> int:
         workloads=tuple(args.workloads),
         transports=transports,
         workers_grid=workers_grid,
-        parallel=not args.serial,
-        max_workers=args.max_workers,
         repeats=args.repeats,
     )
     cells = sweep.run(progress=lambda msg: print(f"[sweep] {msg}", flush=True))
-    record = append_record(args.output, cells, extra=sweep_extra(sweep, args.label))
+    extra = {"steps": sweep.steps, "seed": sweep.seed,
+             "transports": list(sweep.transports)}
+    if sweep.workers_grid:
+        extra["workers_grid"] = list(sweep.workers_grid)
+    if args.label:
+        extra["label"] = args.label
+    record = append_record(args.output, cells, extra=extra)
     print(format_cells(cells))
     speedups = [c.pipeline_speedup for c in cells if c.pipeline_speedup]
     if speedups:

@@ -3,9 +3,9 @@
 The paper's interactivity argument (Sec. 3) is a *latency* argument, and
 Hardt & Ullman's hardness result makes *many adaptive analysts* the
 stressful regime — so the scale surface worth measuring is the grid of
-dataset size × concurrent sessions, and (since PR 4 made the v2 pipeline
-envelope the way real gesture traffic arrives) the **transport** the
-traffic crosses.  :class:`ScaleSweep` drives that grid one cell at a
+dataset size × concurrent sessions, and (since real gesture traffic
+arrives as v2 pipeline envelopes) the **transport** the traffic
+crosses.  :class:`ScaleSweep` drives that grid one cell at a
 time:
 
 * every cell gets a **fresh zero-copy view** of the row-scale's base
@@ -68,6 +68,11 @@ on ``pipeline`` cells — the ``pipeline_speedup`` ratio of the matching
 :func:`append_record` appends one attributable record (git sha, python,
 machine, grid) to ``BENCH_scale.json`` so runs accumulate instead of
 overwriting.
+
+This is benchmark code, not part of the served package: its command line
+is ``benchmarks/run_scale_sweep.py``, and it imports :mod:`ledger` from
+beside it, so ``benchmarks/`` must be on ``sys.path`` (the script's own
+directory is; ``tests/conftest.py`` adds it for the tests).
 """
 
 from __future__ import annotations
@@ -88,9 +93,10 @@ from repro.api.protocol import MAX_PIPELINE_COMMANDS, PREV, predicate_to_dict
 from repro.errors import InvalidParameterError
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Predicate
-from repro.ledger import append_ledger_record, run_metadata
 from repro.workloads.census import make_census
 from repro.workloads.user_study import make_user_study_workflow
+
+from ledger import append_ledger_record
 
 __all__ = [
     "SweepCell",
@@ -104,8 +110,6 @@ __all__ = [
     "run_gestures_pipeline",
     "append_record",
     "format_cells",
-    "run_metadata",
-    "sweep_extra",
 ]
 
 #: Workload names understood by the sweep.
@@ -115,8 +119,8 @@ WORKLOADS: tuple[str, ...] = ("synthetic", "user-study")
 TRANSPORTS: tuple[str, ...] = ("service", "pipeline", "router")
 
 #: Default transports: the in-process two.  ``router`` boots real OS
-#: processes per cell, so it is opt-in (pass it explicitly, or use the
-#: CLI's ``--workers``).
+#: processes per cell, so it is opt-in (pass it explicitly, or use
+#: ``run_scale_sweep.py --workers``).
 DEFAULT_TRANSPORTS: tuple[str, ...] = ("service", "pipeline")
 
 #: Size of the shared (attribute, filter) pool for the synthetic workload.
@@ -327,7 +331,7 @@ def run_gestures_service(
 
     Every request and response crosses the boundary as JSON text (see
     :func:`_wire_call`).  ``"$prev"`` must be resolved *client-side*
-    (the protocol rejects the token outside a pipeline): the driver
+    (the protocol rejects the token outside a pipeline): the runner
     parses each response and chains the id into the next command, and a
     failed show aborts the rest of its gesture — exactly what a v1
     client has to do, and the same abort/exhaustion semantics as the
@@ -510,6 +514,9 @@ def _discoveries(export: dict) -> int:
 class ScaleSweep:
     """Driver for the (rows × sessions × workload × transport) grid.
 
+    A multi-session cell drives its sessions concurrently on a thread
+    pool, gestures within a session strictly in order.
+
     Parameters
     ----------
     rows_grid / sessions_grid:
@@ -536,11 +543,6 @@ class ScaleSweep:
     procedure / procedure_kwargs:
         The per-session streaming procedure (every session gets a fresh
         instance — wealth is never shared).
-    parallel:
-        Drive sessions concurrently on a thread pool (one worker per
-        session, gestures within a session strictly in order).
-        Decisions are identical either way — that is the service
-        contract — only latency changes.
     repeats:
         How many times each cell re-measures its workload (every repeat
         on a fresh zero-copy view, so each one replays the same
@@ -561,8 +563,6 @@ class ScaleSweep:
         workers_grid: Sequence[int] = (),
         procedure: str = "epsilon-hybrid",
         procedure_kwargs: dict | None = None,
-        parallel: bool = True,
-        max_workers: int | None = None,
         repeats: int = 1,
     ) -> None:
         if not rows_grid or min(rows_grid) < 100:
@@ -609,8 +609,6 @@ class ScaleSweep:
         self.workers_grid = tuple(sorted(set(int(w) for w in workers_grid)))
         self.procedure = procedure
         self.procedure_kwargs = dict(procedure_kwargs or {})
-        self.parallel = parallel
-        self.max_workers = max_workers
         self.repeats = int(repeats)
 
     def run(self, progress: Callable[[str], None] | None = None) -> list[SweepCell]:
@@ -886,11 +884,6 @@ class ScaleSweep:
                     target, session_ids[index], gestures_per_session[index]
                 )
 
-            use_pool = (
-                self.parallel
-                and n_sessions > 1
-                and (self.max_workers is None or self.max_workers > 1)
-            )
             # GC pauses land on whichever envelope happens to be in
             # flight — on a one-envelope cell that single spike *is* the
             # mean, so the collector is paused for the measured section
@@ -900,12 +893,11 @@ class ScaleSweep:
             gc.disable()
             start = time.perf_counter()
             try:
-                if use_pool:
-                    with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+                if n_sessions > 1:
+                    with ThreadPoolExecutor() as pool:
                         list(pool.map(run_session, range(n_sessions)))
                 else:
-                    for index in range(n_sessions):
-                        run_session(index)
+                    run_session(0)
             finally:
                 wall = time.perf_counter() - start
                 if gc_was_enabled:
@@ -921,24 +913,8 @@ class ScaleSweep:
         return flat, wall, hit_rate, discoveries
 
 
-def sweep_extra(sweep: ScaleSweep, label: str | None = None) -> dict:
-    """Canonical record extras for *sweep* (single-sited so the CLI and
-    the benchmarks script can never drift on the ledger schema)."""
-    extra = {
-        "steps": sweep.steps,
-        "seed": sweep.seed,
-        "parallel": sweep.parallel,
-        "transports": list(sweep.transports),
-    }
-    if sweep.workers_grid:
-        extra["workers_grid"] = list(sweep.workers_grid)
-    if label:
-        extra["label"] = label
-    return extra
-
-
 def format_cells(cells: Sequence[SweepCell]) -> str:
-    """Fixed-width table of sweep cells (shared by both entry points)."""
+    """Fixed-width table of sweep cells."""
     header = (
         f"{'rows':>9} {'sessions':>8} {'workload':>10} {'transport':>9} "
         f"{'shows':>6} {'err':>4} {'gest ms':>8} {'show ms':>8} "

@@ -39,7 +39,7 @@ Rule catalog
                      ``ReproError`` raised with a formatted traceback in
                      its payload.
 ``ledger``           ``LED001`` a ``BENCH_*.json`` path opened for
-                     writing outside ``repro/ledger.py``.
+                     writing outside ``benchmarks/ledger.py``.
 ==============  =======================================================
 
 Violations are suppressed by a same-line pragma with a written reason::

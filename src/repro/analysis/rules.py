@@ -388,7 +388,7 @@ def _open_mode(call: ast.Call, *, method: bool) -> str | None:
 class LedgerRule(Rule):
     name = "ledger"
     codes = {
-        "LED001": "BENCH_* ledger path opened for writing outside repro/ledger.py",
+        "LED001": "BENCH_* ledger path opened for writing outside benchmarks/ledger.py",
     }
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
@@ -417,7 +417,7 @@ class LedgerRule(Rule):
                     node,
                     "LED001",
                     self.name,
-                    "BENCH_* ledger written outside repro/ledger.py — benchmark"
+                    "BENCH_* ledger written outside benchmarks/ledger.py — benchmark"
                     " ledgers are append-only via ledger.append_ledger_record",
                 )
 

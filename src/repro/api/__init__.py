@@ -55,8 +55,8 @@ new code should use :meth:`Client.pipeline` for bursts and
 ``auto_idem=False`` to restore the v1 retry-reads-only behaviour.
 ``Client.with_recovery()`` turns ``SESSION_EVICTED`` answers from a
 store-backed server into a transparent ``recover`` + single replay of
-the failed (idempotent) request; rebuilding a session client-side from
-the eviction envelope's raw ``export`` payload is deprecated.
+the failed (idempotent) request; without it the answer is raised as an
+:class:`ApiError` whose details carry the session's ``export`` payload.
 """
 
 from repro.api.client import (

@@ -39,7 +39,6 @@ import json
 import random
 import time
 import uuid
-import warnings
 from typing import Any, Iterator, Mapping
 
 from repro.errors import ProtocolError, ReproError
@@ -404,11 +403,6 @@ class Client:
         are replayed (read-only verbs, or commands carrying an ``idem``
         token — which ``auto_idem`` stamps by default), so the transparent
         retry can never double-apply a user action.
-
-        This supersedes the v2.0 caller-side dance of catching the
-        eviction error and rebuilding state from its ``export`` payload;
-        that path still works but now raises a :class:`DeprecationWarning`
-        when surfaced (see :meth:`call`).
         """
         self._recovery = enabled
         return self
@@ -482,11 +476,7 @@ class Client:
 
         Under :meth:`with_recovery`, a recoverable ``SESSION_EVICTED``
         answer triggers one transparent ``recover`` + replay of the
-        original (idempotent) request.  Without recovery mode, an
-        eviction error that carries the legacy ``export`` payload is
-        still raised as before, but with a :class:`DeprecationWarning` —
-        rebuilding sessions client-side from that payload is superseded
-        by the server-side ``recover`` verb.
+        original (idempotent) request.
         """
         if isinstance(command, Command):
             if (
@@ -508,19 +498,6 @@ class Client:
         except ApiError as err:
             sid = self._recoverable_session(payload, err)
             if sid is None:
-                if (
-                    err.code == "SESSION_EVICTED"
-                    and not self._recovery
-                    and "export" in err.details
-                ):
-                    warnings.warn(
-                        "recovering an evicted session from the error "
-                        "envelope's raw 'export' payload is deprecated; "
-                        "use Client.with_recovery() or Client.recover() "
-                        "against a store-backed server instead",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
                 raise
             self.recover(sid)
             return self._call_payload(payload)

@@ -52,7 +52,7 @@ import contextlib
 import dataclasses
 import math
 from collections import OrderedDict
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -99,7 +99,8 @@ __all__ = [
 #: Default per-service cap on concurrently open sessions.
 DEFAULT_MAX_SESSIONS = 256
 
-#: Default bound on recorded idempotent responses (LRU, oldest dropped).
+#: Bound on recorded idempotent responses (LRU, oldest dropped), read
+#: when a service is built.
 DEFAULT_IDEM_CACHE_SIZE = 1024
 
 #: What an at-cap ``create_session`` may do: flat-reject, or reclaim a
@@ -122,8 +123,6 @@ class ExplorationService:
         ``"reject"`` (default) answers an at-cap ``create_session`` with
         ``ADMISSION_REJECTED``; ``"evict-exhausted"`` first tries to
         reclaim a wealth-exhausted session (tombstoned, recoverable).
-    idem_cache_size:
-        Bound on recorded idempotent responses.
     """
 
     def __init__(
@@ -131,7 +130,6 @@ class ExplorationService:
         manager: SessionManager | None = None,
         max_sessions: int | None = DEFAULT_MAX_SESSIONS,
         admission_policy: str = "reject",
-        idem_cache_size: int = DEFAULT_IDEM_CACHE_SIZE,
     ) -> None:
         if max_sessions is not None and max_sessions < 1:
             raise InvalidParameterError(
@@ -142,18 +140,15 @@ class ExplorationService:
                 f"admission_policy must be one of {ADMISSION_POLICIES}, "
                 f"got {admission_policy!r}"
             )
-        if idem_cache_size < 1:
-            raise InvalidParameterError("idem_cache_size must be >= 1")
         self.manager = manager if manager is not None else SessionManager()
         self.max_sessions = max_sessions
         self.admission_policy = admission_policy
-        self._idem_cache_size = idem_cache_size
+        self._idem_cache_size = DEFAULT_IDEM_CACHE_SIZE
         self._idem_cache: OrderedDict[str, Response] = OrderedDict()
         self._idem_lock = make_lock("service.idem")
         self._idem_replays = 0
         # Gesture-traffic observability: how much of the load arrives
-        # batched (the scale sweep's pipeline transport reads these back
-        # through the stats verb to sanity-check its own accounting).
+        # batched (the stats verb reports both counters).
         self._pipelines = 0
         self._pipeline_commands = 0
         self._counter_lock = make_lock("service.counter")
@@ -414,7 +409,18 @@ class ExplorationService:
 
     # -- verb implementations ------------------------------------------------
 
-    def _create_session(self, cmd: CreateSession) -> dict:
+    @contextlib.contextmanager
+    def _admitted(self, refusal: str) -> Iterator[str | None]:
+        """Admission control for a session entering the registry.
+
+        Runs the idle sweep, then, under ``evict-exhausted`` at the cap,
+        the wealth-aware reclaim; then checks the cap under the admission
+        lock, which the ``with`` body (the create or recover) runs under
+        too, so racing admissions cannot both pass the cap probe.  An
+        at-cap admission raises :class:`AdmissionRejectedError` whose
+        message ends with *refusal*.  Yields the id of the session
+        reclaimed for capacity, or ``None``.
+        """
         # Idle sweep first: an expired session must not hold a cap slot.
         # The wealth-aware reclaim runs *outside* the admission lock (the
         # eviction takes the victim's session lock; holding the admission
@@ -434,12 +440,18 @@ class ExplorationService:
                 active = len(self.manager.session_ids())
                 if active >= self.max_sessions:
                     raise AdmissionRejectedError(
-                        f"session cap reached ({active}/{self.max_sessions}); "
-                        "close a session before opening another",
+                        f"session cap reached ({active}/{self.max_sessions});"
+                        f" {refusal}",
                         {"active_sessions": active,
                          "max_sessions": self.max_sessions,
                          "admission_policy": self.admission_policy},
                     )
+            yield evicted_for_capacity
+
+    def _create_session(self, cmd: CreateSession) -> dict:
+        with self._admitted(
+            "close a session before opening another"
+        ) as evicted_for_capacity:
             sid = self.manager.create_session(
                 cmd.dataset,
                 procedure=cmd.procedure,
@@ -476,25 +488,7 @@ class ExplorationService:
             report = self.manager.recover_session(cmd.session_id,
                                                   fresh=cmd.fresh)
         else:
-            self.manager.evict_idle()
-            if (
-                self.max_sessions is not None
-                and self.admission_policy == "evict-exhausted"
-                and len(self.manager.session_ids()) >= self.max_sessions
-            ):
-                self.manager.evict_for_capacity()
-            with self._admission_lock:
-                if self.max_sessions is not None:
-                    active = len(self.manager.session_ids())
-                    if active >= self.max_sessions:
-                        raise AdmissionRejectedError(
-                            f"session cap reached ({active}/"
-                            f"{self.max_sessions}); cannot re-admit a "
-                            "recovered session",
-                            {"active_sessions": active,
-                             "max_sessions": self.max_sessions,
-                             "admission_policy": self.admission_policy},
-                        )
+            with self._admitted("cannot re-admit a recovered session"):
                 report = self.manager.recover_session(cmd.session_id,
                                                       fresh=cmd.fresh)
         summary = self._gauge_summary(cmd.session_id)

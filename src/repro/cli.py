@@ -62,39 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("holdout", help="Sec. 4.1 hold-out analysis"), 2000)
     add_common(sub.add_parser("all", help="run every artifact in sequence"), 200)
 
-    sweep = sub.add_parser(
-        "serve-sweep",
-        help="multi-session service scale sweep over a (rows x sessions) grid",
-    )
-    sweep.add_argument("--rows", type=int, nargs="+", default=[100_000],
-                       help="row-count axis (default: 100000)")
-    sweep.add_argument("--sessions", type=int, nargs="+", default=[16],
-                       help="concurrent-session axis (default: 16)")
-    sweep.add_argument("--steps", type=int, default=40,
-                       help="panels per session per cell (default 40)")
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="census + workload seed (default 0)")
-    sweep.add_argument("--transport", nargs="+", dest="transports",
-                       choices=["service", "pipeline", "router"],
-                       default=["service", "pipeline"],
-                       help="transports to drive gesture traffic through: "
-                            "per-command service calls, batched v2 "
-                            "pipeline envelopes, or pipeline envelopes "
-                            "through a sharded multi-process router "
-                            "(default: the two in-process ones)")
-    sweep.add_argument("--workers", type=int, nargs="+", default=None,
-                       help="worker-process counts for router cells; "
-                            "implies the router transport")
-    sweep.add_argument("--repeats", type=int, default=1,
-                       help="re-measure each cell this many times, pooling "
-                            "latency samples (default 1)")
-    sweep.add_argument("--serial", action="store_true",
-                       help="dispatch sessions serially instead of on a pool")
-    sweep.add_argument("--label", default=None,
-                       help="free-form label stored in the ledger record")
-    sweep.add_argument("--output", default=None,
-                       help="append the record to this BENCH_scale.json ledger")
-
     serve = sub.add_parser(
         "serve",
         help="serve the v1 wire-protocol API over HTTP (one thread per "
@@ -120,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="what an at-cap create_session does: flat-reject, "
                             "or first reclaim a wealth-exhausted session "
                             "(default: reject)")
-    serve.add_argument("--tombstones", type=int, default=None, metavar="N",
-                       help="how many eviction tombstones to retain "
-                            "(default: the manager's DEFAULT_TOMBSTONE_LIMIT)")
     serve.add_argument("--event-heartbeat", type=float, default=15.0,
                        metavar="SECONDS",
                        help="SSE keep-alive comment interval on "
@@ -301,41 +265,10 @@ def _run_holdout(args) -> str:
     )
 
 
-def _run_serve_sweep(args) -> str:
-    from repro.service.sweep import ScaleSweep, append_record, format_cells, sweep_extra
-
-    transports = tuple(args.transports)
-    workers_grid = tuple(args.workers) if args.workers else ()
-    if workers_grid and "router" not in transports:
-        transports = transports + ("router",)
-    sweep = ScaleSweep(
-        rows_grid=tuple(args.rows),
-        sessions_grid=tuple(args.sessions),
-        steps=args.steps,
-        seed=args.seed,
-        transports=transports,
-        workers_grid=workers_grid,
-        parallel=not args.serial,
-        repeats=args.repeats,
-    )
-    cells = sweep.run()
-    lines = [
-        "service scale sweep (mean per-show latency / aggregate throughput):",
-        format_cells(cells),
-    ]
-    if args.output:
-        record = append_record(
-            args.output, cells, extra=sweep_extra(sweep, args.label)
-        )
-        lines.append(f"appended record ({record['git_sha'][:12]}) to {args.output}")
-    return "\n".join(lines)
-
-
 def _run_serve(args) -> str:
     from repro.api.http import serve_forever
     from repro.api.service import DEFAULT_MAX_SESSIONS, ExplorationService
-    from repro.service.manager import (DEFAULT_SNAPSHOT_EVERY,
-                                       DEFAULT_TOMBSTONE_LIMIT, SessionManager)
+    from repro.service.manager import DEFAULT_SNAPSHOT_EVERY, SessionManager
     from repro.workloads.census import make_census
 
     if args.workers is not None:
@@ -354,8 +287,6 @@ def _run_serve(args) -> str:
                            fsync=args.store_fsync)
     manager = SessionManager(
         idle_timeout=args.idle_timeout,
-        tombstone_limit=(DEFAULT_TOMBSTONE_LIMIT if args.tombstones is None
-                         else args.tombstones),
         store=store,
         snapshot_every=(DEFAULT_SNAPSHOT_EVERY if args.snapshot_every is None
                         else args.snapshot_every),
@@ -495,7 +426,6 @@ _COMMANDS = {
     "exp2": _run_exp2,
     "motivating": _run_motivating,
     "holdout": _run_holdout,
-    "serve-sweep": _run_serve_sweep,
     "serve": _run_serve,
     "route": _run_route,
 }

@@ -98,7 +98,7 @@ from repro.procedures.base import StreamingProcedure
 from repro.service.events import EventBroker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see repro.store)
-    from repro.store import SessionStore
+    from repro.store import SessionStore, StoredSession
 
 __all__ = [
     "DecisionRecord",
@@ -109,7 +109,8 @@ __all__ = [
     "DEFAULT_SNAPSHOT_EVERY",
 ]
 
-#: Default bound on retained eviction tombstones (oldest dropped first).
+#: Bound on retained in-memory eviction tombstones (oldest dropped
+#: first), read when a manager is built.
 DEFAULT_TOMBSTONE_LIMIT = 64
 
 #: WAL entries between store compactions, each of which ages the idem
@@ -254,8 +255,6 @@ class SessionManager:
         Seconds of inactivity after which a session is evicted to a
         tombstone (``None`` disables idle eviction).  Checked lazily on
         access/create/stats against *clock* — no reaper thread.
-    tombstone_limit:
-        How many eviction tombstones to retain (oldest dropped first).
     clock:
         Monotonic time source (injectable so tests can drive eviction
         deterministically instead of sleeping).
@@ -274,7 +273,6 @@ class SessionManager:
     def __init__(
         self,
         idle_timeout: float | None = None,
-        tombstone_limit: int = DEFAULT_TOMBSTONE_LIMIT,
         clock: Callable[[], float] = time.monotonic,  # reprolint: allow(determinism) — monotonic seam: feeds last_active / idle_s / evicted_at_monotonic; tests pin it
         epoch: Callable[[], float] = time.time,  # reprolint: allow(determinism) — wall-clock seam: feeds evicted_at's unix-epoch wire meaning; tests pin it
         store: "SessionStore | None" = None,
@@ -282,12 +280,10 @@ class SessionManager:
     ) -> None:
         if idle_timeout is not None and idle_timeout <= 0:
             raise InvalidParameterError("idle_timeout must be > 0 or None")
-        if tombstone_limit < 0:
-            raise InvalidParameterError("tombstone_limit must be >= 0")
         if snapshot_every < 0:
             raise InvalidParameterError("snapshot_every must be >= 0")
         self._idle_timeout = idle_timeout
-        self._tombstone_limit = tombstone_limit
+        self._tombstone_limit = DEFAULT_TOMBSTONE_LIMIT
         self._clock = clock
         self._epoch = epoch
         self._store = store
@@ -935,23 +931,7 @@ class SessionManager:
         if stored is None:
             raise SessionError(f"no stored session {session_id!r}")
         self._store.index_idem(stored)
-        create_token = stored.meta.get("idem_token")
-        if create_token:
-            # The create's own token rides in the durable meta (creates
-            # are not staged, so no entry records its response): fold it
-            # in too, exactly as recover_all does at boot, so a client
-            # retrying its create lands on the recorded session instead
-            # of opening a twin on the new shard owner.
-            self._store.register_idem(create_token, {
-                "v": 2,
-                "ok": True,
-                "result": {
-                    "session_id": session_id,
-                    "dataset": stored.meta.get("dataset"),
-                    "procedure": stored.meta.get("procedure"),
-                    "alpha": stored.meta.get("alpha"),
-                },
-            })
+        self._register_create_token(session_id, stored)
         meta = stored.meta
         commands = stored.commands()
         expected = stored.records()
@@ -1018,6 +998,28 @@ class SessionManager:
             "decisions": len(managed.log),
         }
 
+    def _register_create_token(self, session_id: str,
+                               stored: "StoredSession") -> None:
+        """Index a stored session's create token with its replay envelope.
+
+        The create's own token rides in the durable meta (creates are
+        not staged, so no entry records its response).  Indexing it lets
+        a client retrying its create, after a crash or on a new shard
+        owner, land on the recorded session instead of opening a twin.
+        """
+        token = stored.meta.get("idem_token")
+        if token:
+            self._store.register_idem(token, {
+                "v": 2,
+                "ok": True,
+                "result": {
+                    "session_id": session_id,
+                    "dataset": stored.meta.get("dataset"),
+                    "procedure": stored.meta.get("procedure"),
+                    "alpha": stored.meta.get("alpha"),
+                },
+            })
+
     def recover_all(self) -> dict:
         """Boot-time recovery: rebuild every non-tombstoned stored session.
 
@@ -1053,18 +1055,7 @@ class SessionManager:
                 continue
             if report["recovered"]:
                 recovered.append(sid)
-            token = stored.meta.get("idem_token")
-            if token:
-                self._store.register_idem(token, {
-                    "v": 2,
-                    "ok": True,
-                    "result": {
-                        "session_id": sid,
-                        "dataset": stored.meta.get("dataset"),
-                        "procedure": stored.meta.get("procedure"),
-                        "alpha": stored.meta.get("alpha"),
-                    },
-                })
+            self._register_create_token(sid, stored)
         with self._registry_lock:
             self._next_session = max(self._next_session, max_auto + 1)
         return {

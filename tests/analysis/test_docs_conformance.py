@@ -81,6 +81,6 @@ def test_api_migration_notes_do_not_invent_verbs():
 
 
 def test_readme_transport_table_matches_sweep():
-    from repro.service.sweep import TRANSPORTS
+    from scale_sweep import TRANSPORTS
 
     assert _readme_transport_rows() == TRANSPORTS

@@ -24,7 +24,7 @@ from repro.api.service import ExplorationService
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Eq
 from repro.service.manager import SessionManager
-from repro.service.sweep import run_gestures_pipeline, run_gestures_service
+from scale_sweep import run_gestures_pipeline, run_gestures_service
 
 
 @pytest.fixture(autouse=True)

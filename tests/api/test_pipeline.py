@@ -356,8 +356,9 @@ class TestIdempotency:
         assert replay["result"]["slots"] == first["result"]["slots"]
         assert service.manager.decision_log_bytes(sid) == log_after
 
-    def test_idem_cache_is_bounded(self, census):
-        svc = ExplorationService(idem_cache_size=2)
+    def test_idem_cache_is_bounded(self, census, monkeypatch):
+        monkeypatch.setattr("repro.api.service.DEFAULT_IDEM_CACHE_SIZE", 2)
+        svc = ExplorationService()
         svc.register_dataset(census, name="census")
         sid = _session(svc)
         for token in ("a", "b", "c"):

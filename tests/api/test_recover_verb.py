@@ -4,13 +4,11 @@ Covers the redesigned session-lifecycle API end to end: protocol
 parsing (v2-only), service dispatch against a store-backed manager,
 eviction envelopes advertising ``recoverable``, durable idempotency
 replay across a simulated crash, and the :class:`Client`'s
-``with_recovery()`` transparent retry (plus the deprecation of the raw
-export-payload resurrection path it supersedes).
+``with_recovery()`` transparent retry (without it, the eviction error
+still carries the session's export payload).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -230,14 +228,10 @@ class TestClientRecovery:
         with Client(port=server.port) as client:
             sid = client.create_session("census")
             service.manager._evict_session(sid, reason="idle")
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(ApiError) as exc_info:
-                    client.call({"v": 2, "cmd": "wealth",
-                                 "session_id": sid})
+            with pytest.raises(ApiError) as exc_info:
+                client.call({"v": 2, "cmd": "wealth", "session_id": sid})
             assert exc_info.value.code == "SESSION_EVICTED"
-            assert any(issubclass(w.category, DeprecationWarning)
-                       for w in caught)
+            assert "export" in exc_info.value.details
 
     def test_non_idempotent_mutation_is_not_replayed(self, server, service):
         with Client(port=server.port, auto_idem=False).with_recovery() \

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.exploration.dataset import Dataset
 from repro.workloads.census import make_census
+
+# The scale sweep and the ledger writer are benchmark code, imported as
+# top-level modules (``scale_sweep``, ``ledger``) the way the scripts
+# beside them import them.
+_BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
+if _BENCHMARKS not in sys.path:
+    sys.path.append(_BENCHMARKS)
 
 
 @pytest.fixture(scope="session")

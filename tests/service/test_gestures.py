@@ -1,7 +1,7 @@
 """Gestures: one multi-command user action sent as one v2 pipeline envelope.
 
 A gesture is a sequence of wire commands without a ``session_id`` (the
-shape :func:`repro.service.sweep.compile_gestures` emits).  Inside the
+shape the scale sweep's ``compile_gestures`` emits).  Inside the
 envelope ``"$prev"`` names the nearest earlier hypothesis, and under
 ``abort_on_error`` a failed command skips the rest of the gesture.
 """

@@ -134,8 +134,9 @@ class TestIdleEviction:
         assert tomb["evicted_at_monotonic"] - tomb["idle_s"] == last_active
         assert abs(tomb["evicted_at"] - _time.time()) < 60.0
 
-    def test_tombstone_limit_drops_oldest(self, census, clock):
-        m = SessionManager(idle_timeout=1.0, tombstone_limit=2, clock=clock)
+    def test_tombstone_limit_drops_oldest(self, census, clock, monkeypatch):
+        monkeypatch.setattr("repro.service.manager.DEFAULT_TOMBSTONE_LIMIT", 2)
+        m = SessionManager(idle_timeout=1.0, clock=clock)
         m.register_dataset(census, name="census")
         sids = [m.create_session("census") for _ in range(3)]
         clock.advance(2.0)

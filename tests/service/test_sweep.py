@@ -1,4 +1,4 @@
-"""ScaleSweep: transports, grid execution, ledger semantics, entry points."""
+"""ScaleSweep: transports, grid execution, ledger semantics, the script."""
 
 import json
 import subprocess
@@ -14,7 +14,9 @@ from repro.api.protocol import (
 )
 from repro.errors import InvalidParameterError
 from repro.service.manager import SessionManager
-from repro.service.sweep import (
+from repro.workloads.census import make_census
+from ledger import run_metadata
+from scale_sweep import (
     DEFAULT_TRANSPORTS,
     TRANSPORTS,
     ScaleSweep,
@@ -23,11 +25,9 @@ from repro.service.sweep import (
     format_cells,
     run_gestures_pipeline,
     run_gestures_service,
-    run_metadata,
     _chunk_gestures,
     _synthetic_streams,
 )
-from repro.workloads.census import make_census
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -134,16 +134,6 @@ class TestSweep:
             )
         for key, outcomes in by_key.items():
             assert len(outcomes) == 1, (key, outcomes)
-
-    def test_serial_and_parallel_sweeps_same_discoveries(self):
-        base = make_census(1_500, seed=0)
-        kwargs = dict(rows_grid=(1_500,), sessions_grid=(3,), steps=6, seed=0)
-        serial = ScaleSweep(parallel=False, **kwargs).run_cell(
-            base, 3, "synthetic", "pipeline")
-        threaded = ScaleSweep(parallel=True, **kwargs).run_cell(
-            base, 3, "synthetic", "pipeline")
-        assert serial.discoveries == threaded.discoveries
-        assert serial.total_shows == threaded.total_shows
 
     def test_transport_order_is_canonicalized(self):
         """run() annotates pipeline cells from the matching service cell,
@@ -363,65 +353,18 @@ class TestCliEntryPoints:
                 sys.executable,
                 str(REPO_ROOT / "benchmarks" / "run_scale_sweep.py"),
                 "--rows", "1000", "--sessions", "1", "--steps", "4",
-                "--transport", "pipeline", "--output", str(out),
+                "--transport", "pipeline", "--label", "one-transport",
+                "--output", str(out),
             ],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
         )
         assert result.returncode == 0, result.stderr
-        cells = json.loads(out.read_text())["records"][0]["cells"]
-        assert {c["transport"] for c in cells} == {"pipeline"}
-
-    def test_cli_transport_choices_match_sweep(self):
-        """The serve-sweep --transport choices are hardcoded (the CLI
-        defers importing the heavy sweep module); pin them to the
-        library's TRANSPORTS so a new transport cannot silently be
-        unreachable from the CLI."""
-        import argparse
-
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        subparsers = next(
-            a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)
-        )
-        sweep_parser = subparsers.choices["serve-sweep"]
-        transport = next(
-            a for a in sweep_parser._actions
-            if "--transport" in a.option_strings
-        )
-        assert tuple(transport.choices) == TRANSPORTS
-        assert tuple(transport.default) == DEFAULT_TRANSPORTS
-
-    def test_serve_sweep_subcommand(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "serve-sweep", "--rows", "1000", "--sessions", "2", "--steps", "4",
-            "--transport", "service", "pipeline",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "service scale sweep" in out
-        assert "shows/s" in out
-
-    def test_serve_sweep_ledger_schema_matches_script(self, tmp_path, capsys):
-        """Both entry points must write the same record keys (notably
-        ``parallel`` and ``transports``, so records stay comparable)."""
-        from repro.cli import main
-
-        out = tmp_path / "ledger.json"
-        assert main([
-            "serve-sweep", "--rows", "1000", "--sessions", "2", "--steps", "4",
-            "--serial", "--label", "cli-test", "--transport", "service",
-            "--output", str(out),
-        ]) == 0
-        capsys.readouterr()
         record = json.loads(out.read_text())["records"][0]
-        assert record["parallel"] is False
-        assert record["label"] == "cli-test"
-        assert record["transports"] == ["service"]
+        assert {c["transport"] for c in record["cells"]} == {"pipeline"}
+        assert record["transports"] == ["pipeline"]
+        assert record["label"] == "one-transport"
         assert {"git_sha", "python", "machine", "timestamp", "steps", "seed",
                 "cells"} <= set(record)
 
