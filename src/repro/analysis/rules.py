@@ -392,7 +392,7 @@ class LedgerRule(Rule):
     }
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.rel == "ledger.py":
+        if ctx.path.resolve().parts[-2:] == ("benchmarks", "ledger.py"):
             return
         assignments = _local_assignments(ctx.tree)
         for node in ast.walk(ctx.tree):

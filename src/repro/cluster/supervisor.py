@@ -11,9 +11,11 @@ replicas; the durable truth is the store, so any worker can answer
 
 The supervisor's contract:
 
-* :meth:`start` spawns every worker and blocks until each has printed
+* :meth:`start` launches every worker process at once, so the fleet
+  builds its datasets concurrently, then blocks until each has printed
   the serve banner (the same ``serving on http://host:port`` line the
-  kill-9 tests parse), yielding its chosen port;
+  kill-9 tests parse), yielding its chosen port.  If one fails to boot,
+  it stops the whole fleet before raising, registered workers included;
 * a monitor thread polls for worker death and **restarts** the process —
   after calling ``on_death(worker_id)`` first, so the router can drop
   the worker from its ring *before* the replacement (with a fresh port)
@@ -45,8 +47,10 @@ __all__ = ["Worker", "WorkerSupervisor", "BANNER_RE"]
 #: The serve banner; group 1 is the host, group 2 the chosen port.
 BANNER_RE = re.compile(r"serving on http://([\d.]+):(\d+)")
 
-#: Seconds a worker gets to print its banner (census generation and
-#: boot-time recover_all happen first, so this scales with --rows).
+#: Seconds a worker gets to print its banner, counted from when
+#: :meth:`WorkerSupervisor.start` begins waiting for it.  Census
+#: generation and boot-time recover_all happen first, so this scales with
+#: --rows; the fleet boots concurrently, so workers share the CPUs.
 _BOOT_DEADLINE_S = 120.0
 
 #: Monitor poll interval.
@@ -135,7 +139,7 @@ class WorkerSupervisor:
             argv += ["--max-sessions", str(self.max_sessions)]
         return argv
 
-    def _spawn(self, worker_id: str) -> Worker:
+    def _launch(self, worker_id: str) -> Worker:
         env = os.environ.copy()
         env.setdefault("PYTHONUNBUFFERED", "1")
         proc = subprocess.Popen(
@@ -145,27 +149,30 @@ class WorkerSupervisor:
             text=True,
             env=env,
         )
-        worker = Worker(worker_id=worker_id, proc=proc)
-        try:
-            self._await_banner(worker)
-        except ReproError:
-            # Reap the process and release its pipe before reporting.
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
-            raise
+        return Worker(worker_id=worker_id, proc=proc)
+
+    def _boot(self, worker: Worker) -> Worker:
+        """Wait for a launched worker's banner, then drain its output."""
+        self._await_banner(worker)
         # Keep draining stdout on a daemon thread: a worker that logs
         # after boot must never block on a full pipe.
         worker.drain = threading.Thread(
             target=self._drain, args=(worker,),
-            name=f"repro-worker-drain-{worker_id}", daemon=True,
+            name=f"repro-worker-drain-{worker.worker_id}", daemon=True,
         )
         worker.drain.start()
         self.announce(
-            f"worker {worker_id} (pid {worker.pid}) "
+            f"worker {worker.worker_id} (pid {worker.pid}) "
             f"serving on http://{worker.host}:{worker.port}"
         )
         return worker
+
+    @staticmethod
+    def _discard(worker: Worker) -> None:
+        """Kill and reap a worker that never booted, and close its pipe."""
+        worker.proc.kill()
+        worker.proc.wait()
+        worker.proc.stdout.close()
 
     @staticmethod
     def _await_banner(worker: Worker) -> None:
@@ -200,11 +207,26 @@ class WorkerSupervisor:
                 del worker.tail[:-50]
 
     def start(self) -> dict[str, Worker]:
-        """Spawn all workers; returns the live fleet keyed by worker id."""
+        """Spawn all workers; returns the live fleet keyed by worker id.
+
+        Every process is launched before the first banner is awaited.
+        When one fails to launch or boot, every launched worker not yet
+        registered is discarded and the registered ones are stopped before
+        the error propagates, so no child outlives the failure.
+        """
         with self._lock:
-            for index in range(self.count):
-                worker_id = f"w{index}"
-                self.workers[worker_id] = self._spawn(worker_id)
+            launched: list[Worker] = []
+            try:
+                for index in range(self.count):
+                    launched.append(self._launch(f"w{index}"))
+                for worker in launched:
+                    self.workers[worker.worker_id] = self._boot(worker)
+            except (ReproError, OSError):
+                for worker in launched:
+                    if worker.worker_id not in self.workers:
+                        self._discard(worker)
+                self.stop()
+                raise
         self._monitor = threading.Thread(
             target=self._watch, name="repro-cluster-monitor", daemon=True
         )
@@ -229,9 +251,11 @@ class WorkerSupervisor:
                 if self._stopping.is_set() or not self.restart:
                     self.workers.pop(worker_id, None)
                     continue
+                replacement = self._launch(worker_id)
                 try:
-                    replacement = self._spawn(worker_id)
+                    self._boot(replacement)
                 except ReproError as exc:  # pragma: no cover - boot failure
+                    self._discard(replacement)
                     self.announce(f"worker {worker_id} failed to restart: {exc}")
                     self.workers.pop(worker_id, None)
                     continue

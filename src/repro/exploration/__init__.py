@@ -6,7 +6,7 @@ default hypotheses; and :class:`ExplorationSession` ties it together with
 a streaming control procedure and the Fig. 2 risk gauge.
 """
 
-from repro.exploration.dataset import Column, ColumnType, Dataset
+from repro.exploration.dataset import Column, ColumnType, Dataset, Encoded
 from repro.exploration.gauge import GaugeEntry, RiskGauge
 from repro.exploration.heuristics import (
     HypothesisKind,
@@ -46,6 +46,7 @@ __all__ = [
     "Column",
     "ColumnType",
     "Dataset",
+    "Encoded",
     "Eq",
     "ExplorationSession",
     "GaugeEntry",

@@ -7,10 +7,15 @@ latency (Sec. 3's ~100 ms-per-gesture budget):
 
 * **Dictionary encoding** — categorical columns are encoded *once* at
   construction into ``int32`` codes plus an immutable category table (the
-  sorted unique labels of the original data).  Every downstream operation
-  — ``Eq``/``In`` masks, histograms, permutation — works on integer codes;
-  label arrays are decoded lazily and only when a caller asks for raw
-  values.  Codes are immutable after construction.
+  sorted unique labels of the original data).  A column may arrive
+  already split into labels and a per-row index (:class:`Encoded`, what a
+  generator that draws category indices has); a label array is split the
+  same way by ``np.unique``.  Either way the categories are the labels
+  some row uses, and the codes one lookup-table gather of the index, so a
+  generator never builds or sorts a label array.  Every downstream
+  operation — ``Eq``/``In`` masks, histograms, permutation — works on
+  integer codes; label arrays are decoded lazily and only when a caller
+  asks for raw values.  Codes are immutable after construction.
 * **Zero-copy views** — ``select``/``sample_fraction`` return *views*:
   they share the parent's physical column stores and carry only a
   composed row-index into them.  Columns materialize per-view on first
@@ -67,7 +72,7 @@ from repro.exploration.engine import (
 )
 from repro.rng import SeedLike, as_generator
 
-__all__ = ["ColumnType", "Column", "Dataset", "SortedRows", "MAX_BINS"]
+__all__ = ["ColumnType", "Column", "Dataset", "Encoded", "SortedRows", "MAX_BINS"]
 
 #: Most bins a numeric histogram may have.  Edges and labels are built per
 #: bin, so the bound keeps a requested bin count from sizing allocations.
@@ -213,42 +218,74 @@ class _ColumnStore:
         return self._decoded
 
 
-def _encode_categorical(
-    name: str, arr: np.ndarray, categories: tuple | None
-) -> tuple[tuple, np.ndarray]:
-    """Dictionary-encode *arr*, deriving or validating the category table.
+class Encoded:
+    """A dictionary-encoded categorical column: row ``i`` is ``labels[index[i]]``.
 
-    Returns ``(categories, int32 codes)``; raises :class:`SchemaError` when
-    values fall outside a declared universe.
+    *index* is a 1-D integer array with values in ``range(len(labels))``;
+    its length is the column's.  :class:`Dataset` builds from it the same
+    category table and codes as from ``np.asarray(labels)[index]``, with
+    one ``np.bincount`` of *index* in place of building and sorting that
+    label array.  Labels no row uses are not categories, unless a
+    declared universe names them.
     """
-    try:
-        uniq, inverse = np.unique(arr, return_inverse=True)
-        uniq_list = uniq.tolist()
-    except TypeError:
-        uniq_list = None  # mixed unorderable values: fall back to a dict pass
-    if categories is None:
-        pool = uniq_list if uniq_list is not None else set(arr.tolist())
-        categories = tuple(sorted(set(pool), key=str))
-    index = {c: i for i, c in enumerate(categories)}
-    if uniq_list is not None:
-        unknown = [u for u in uniq_list if u not in index]
-        if unknown:
+
+    __slots__ = ("labels", "index")
+
+    def __init__(self, labels: Sequence, index: np.ndarray) -> None:
+        self.labels = labels
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+def _encode_categorical(
+    name: str, column: "np.ndarray | Encoded", categories: tuple | None
+) -> tuple[tuple, np.ndarray]:
+    """Dictionary-encode *column*, deriving or validating the category table.
+
+    Every column is first split into labels and a per-row index: a label
+    array by ``np.unique`` (or a dict pass for mixed unorderable values),
+    an :class:`Encoded` one as given.  Returns ``(categories, int32
+    codes)``; raises :class:`SchemaError` when a used label falls outside
+    a declared universe or an encoded column is malformed.
+    """
+    if isinstance(column, Encoded):
+        table = np.asarray(column.labels)
+        index = np.asarray(column.index)
+        if table.ndim != 1 or index.ndim != 1 or index.dtype.kind not in "iu":
             raise SchemaError(
-                f"column {name!r} has values outside its declared "
-                f"universe: {sorted(map(str, unknown))}"
-            )
-        lut = np.fromiter((index[u] for u in uniq_list), dtype=np.int32, count=len(uniq_list))
-        codes = lut[inverse.reshape(-1)]
+                f"column {name!r} needs 1-D labels and a 1-D integer index")
+        if index.size and (index.min() < 0 or index.max() >= table.size):
+            raise SchemaError(
+                f"column {name!r} has an index outside its {table.size} labels")
+        index = index.astype(np.intp, copy=False)
+        labels = table.tolist()
+        used = np.bincount(index, minlength=len(labels)).nonzero()[0].tolist()
+        present = [labels[i] for i in used]
     else:
-        values = arr.tolist()
-        unknown = {v for v in values if v not in index}
-        if unknown:
-            raise SchemaError(
-                f"column {name!r} has values outside its declared "
-                f"universe: {sorted(map(str, unknown))}"
-            )
-        codes = np.fromiter((index[v] for v in values), dtype=np.int32, count=len(values))
-    return categories, codes.astype(np.int32, copy=False)
+        try:
+            uniq, inverse = np.unique(column, return_inverse=True)
+            labels = present = uniq.tolist()
+            index = inverse.reshape(-1)
+        except TypeError:  # mixed unorderable values: a dict pass instead
+            position: dict = {}
+            values = column.tolist()
+            index = np.fromiter((position.setdefault(v, len(position)) for v in values),
+                                dtype=np.intp, count=len(values))
+            labels = present = list(position)
+    if categories is None:
+        categories = tuple(sorted(set(present), key=str))
+    code_of = {c: i for i, c in enumerate(categories)}
+    unknown = {v for v in present if v not in code_of}
+    if unknown:
+        raise SchemaError(
+            f"column {name!r} has values outside its declared "
+            f"universe: {sorted(map(str, unknown))}"
+        )
+    lut = np.fromiter((code_of.get(v, 0) for v in labels), dtype=np.int32,
+                      count=len(labels))
+    return categories, lut[index]
 
 
 class Column:
@@ -322,11 +359,15 @@ class Dataset:
     Parameters
     ----------
     columns:
-        Mapping from column name to a sequence of values.
+        Mapping from column name to a sequence of values, or to an
+        :class:`Encoded` column (labels plus a per-row index into them),
+        which is categorical and gives the same categories and codes as
+        its decoded label array.
     categorical:
         Names of columns to treat as categorical.  Anything not listed is
-        numeric and must be castable to float.  Boolean and string columns
-        are auto-detected as categorical when this is ``None``.
+        numeric and must be castable to float, unless it is
+        :class:`Encoded`.  Boolean and string columns are auto-detected as
+        categorical when this is ``None``.
     name:
         Display name used by visualizations and the gauge.
     category_universe:
@@ -352,7 +393,7 @@ class Dataset:
         explicit = set(categorical) if categorical is not None else None
         stores: dict[str, _ColumnStore] = {}
         for col_name, raw in columns.items():
-            arr = np.asarray(raw)
+            arr = raw if isinstance(raw, Encoded) else np.asarray(raw)
             if self._infer_categorical(col_name, arr, explicit):
                 cats, codes = _encode_categorical(col_name, arr, universe.get(col_name))
                 stores[col_name] = _ColumnStore(
@@ -370,7 +411,11 @@ class Dataset:
         self._init_state(stores, row_index=None, n_rows=n_rows)
 
     @staticmethod
-    def _infer_categorical(name: str, arr: np.ndarray, explicit: set[str] | None) -> bool:
+    def _infer_categorical(
+        name: str, arr: "np.ndarray | Encoded", explicit: set[str] | None
+    ) -> bool:
+        if isinstance(arr, Encoded):
+            return True
         if explicit is not None:
             return name in explicit
         return arr.dtype.kind in ("U", "S", "O", "b")

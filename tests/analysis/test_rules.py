@@ -79,6 +79,19 @@ def test_scoped_rules_silent_outside_scope(tmp_path):
     assert report.violations == []
 
 
+def test_only_benchmarks_ledger_may_write_a_ledger(tmp_path):
+    """The exemption is the path ``benchmarks/ledger.py``, not the file name."""
+    source = 'from pathlib import Path\nPath("BENCH_scale.json").write_text("[]")\n'
+    files = [tmp_path / "sub" / "ledger.py", tmp_path / "sub" / "writer.py",
+             tmp_path / "benchmarks" / "ledger.py"]
+    for path in files:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(source)
+    report = run_lint(files, rules=all_rules(), check_pragmas=False)
+    assert sorted((v.path, v.code) for v in report.violations) == [
+        (str(files[0]), "LED001"), (str(files[1]), "LED001")]
+
+
 def test_interprocedural_fixed_point_is_conservative(tmp_path):
     """A *_locked call inside a helper whose callers are NOT all guarded
     stays flagged — one unguarded caller breaks the chain."""

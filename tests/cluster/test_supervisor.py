@@ -11,11 +11,13 @@ import http.client
 import json
 import os
 import signal
+import sys
 import time
 
 import pytest
 
 from repro.cluster import BANNER_RE, WorkerSupervisor
+from repro.errors import ReproError
 
 ROWS = 500
 
@@ -108,4 +110,32 @@ class TestSupervisor:
         sup.stop()
         sup.stop()
         assert not worker.alive()
+        assert sup.workers == {}
+
+    def test_boot_failure_leaves_no_child_running(self, tmp_path, monkeypatch):
+        """w1 exits during boot: w0 has registered and w2 is still
+        booting, and start() reaps all three and closes their pipes."""
+        scripts = iter([
+            "import time; print('serving on http://127.0.0.1:9', flush=True);"
+            " time.sleep(60)",
+            "import sys; sys.exit(3)",
+            "import time; time.sleep(60)",
+        ])
+        monkeypatch.setattr(WorkerSupervisor, "_argv",
+                            lambda self: [sys.executable, "-c", next(scripts)])
+        launched = []
+        launch = WorkerSupervisor._launch
+
+        def recording_launch(self, worker_id):
+            launched.append(launch(self, worker_id))
+            return launched[-1]
+
+        monkeypatch.setattr(WorkerSupervisor, "_launch", recording_launch)
+        sup = _supervisor(tmp_path, count=3)
+        with pytest.raises(ReproError, match="w1 exited during boot"):
+            sup.start()
+        assert [w.worker_id for w in launched] == ["w0", "w1", "w2"]
+        assert all(w.proc.returncode is not None for w in launched)
+        assert all(w.proc.stdout.closed for w in launched)
+        assert not launched[0].drain.is_alive()
         assert sup.workers == {}

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError, SchemaError
-from repro.exploration.dataset import ColumnType, Dataset
+from repro.exploration.dataset import ColumnType, Dataset, Encoded
 
 
 class TestConstruction:
@@ -38,6 +40,49 @@ class TestConstruction:
                 categorical=["c"],
                 category_universe={"c": ("a", "b")},
             )
+
+
+@st.composite
+def encoded_columns(draw):
+    """Unique labels of one kind, an index that may leave some unused, and
+    an optional declared universe that may miss some used labels."""
+    element = draw(st.sampled_from([
+        st.text(max_size=4), st.integers(-2**63, 2**63 - 1), st.booleans()]))
+    labels = draw(st.lists(element, min_size=1, max_size=8, unique=True))
+    used = draw(st.lists(st.integers(0, len(labels) - 1), unique=True))
+    index = draw(st.lists(st.sampled_from(used), max_size=30)) if used else []
+    dtype = draw(st.sampled_from([np.int8, np.uint16, np.int64]))
+    universe = None
+    if draw(st.booleans()):
+        pool = list(dict.fromkeys(labels + draw(st.lists(element, max_size=3))))
+        universe = tuple(draw(st.permutations(pool))[draw(st.integers(0, 2)):])
+    return labels, np.asarray(index, dtype=dtype), universe
+
+
+def _built(column, universe) -> tuple:
+    """What a one-column dataset makes of *column*: its typed categories
+    and codes, or the SchemaError it raises."""
+    try:
+        ds = Dataset({"c": column}, categorical=["c"],
+                     category_universe=None if universe is None else {"c": universe})
+    except SchemaError as exc:
+        return ("error", str(exc))
+    codes = ds.codes("c")
+    return ([(type(c), c) for c in ds.categories("c")], codes.dtype, codes.tolist())
+
+
+class TestEncodedIngest:
+    @given(encoded_columns())
+    def test_matches_the_label_array(self, column):
+        labels, index, universe = column
+        assert (_built(Encoded(labels, index), universe)
+                == _built(np.asarray(labels)[index], universe))
+
+    @pytest.mark.parametrize("index", [[0, 2], [-1, 0], [0.0, 1.0], [True, False],
+                                       [[0], [1]]])
+    def test_bad_index_is_a_schema_error(self, index):
+        with pytest.raises(SchemaError):
+            Dataset({"c": Encoded(("a", "b"), np.asarray(index))})
 
 
 class TestAccess:
